@@ -71,7 +71,7 @@ class SparkFleetBench extends SparkSpec {
     val wallMs = (System.nanoTime() - t0) / 1e6
     println(f"=== distributed CA: ${segments.size} segments of liquor (ε=${cube.epsilon}) in $wallMs%.0f ms ===")
     val ca = new CascadingAnalysts(cube, 3)
-    for (seg <- segments.take(40))
-      assert(math.abs(dist((seg.i, seg.j)).best(3) - ca.topIds(seg).best(3)) < 1e-6, s"$seg")
+    for ((seg, t) <- segments.zip(dist).take(40))
+      assert(math.abs(t.best(3) - ca.topIds(seg).best(3)) < 1e-6, s"$seg")
   }
 }

@@ -17,26 +17,48 @@ import scala.jdk.CollectionConverters._
   */
 object Oracle {
 
-  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
+  /** Rows as comparable cells, sorted: doubles (and decimals) as `Double`,
+    * everything else as its string, columns in name order.
+    */
+  private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[Any]] = {
     val order = cols.sorted
     val idx   = order.map(cols.indexOf)
+    val byCell: Ordering[Any] = (a, b) => (a, b) match {
+      case (x: Double, y: Double) => java.lang.Double.compare(x, y)
+      case _                      => a.toString.compareTo(b.toString)
+    }
     rows
       .map(r => idx.map { i =>
         r.get(i) match {
-          case null                 => "∅"
-          case d: Double            => f"$d%.6f"
-          case f: Float             => f"${f.toDouble}%.6f"
-          case bd: java.math.BigDecimal => f"${bd.doubleValue}%.6f"
-          case x                    => x.toString
+          case null                     => "∅"
+          case d: Double                => d
+          case f: Float                 => f.toDouble
+          case bd: java.math.BigDecimal => bd.doubleValue
+          case x                        => x.toString
         }
       })
-      .sortBy(_.mkString(""))
+      .sorted(Ordering.Implicits.seqOrdering[Seq, Any](byCell))
+  }
+
+  /** Unit roundoff of a double, 2⁻⁵³. */
+  private val U = math.ulp(1.0) / 2
+
+  /** Two engines summing the same `n` doubles in different orders each err
+    * by at most about n·u·Σ|x|, and Σ|x| is the sum itself when the summands
+    * share a sign; numbers within twice that bound agree.
+    */
+  private def sameCell(a: Any, b: Any, n: Long): Boolean = (a, b) match {
+    case (x: Double, y: Double) =>
+      val bound = 2 * n * U * math.max(math.abs(x), math.abs(y))
+      java.lang.Double.compare(x, y) == 0 || math.abs(x - y) <= bound
+    case _ => a == b
   }
 
   def assertEquivalent(sparkDf: DataFrame, sql: String, tables: (String, DataFrame)*): Unit = {
     Class.forName("org.duckdb.DuckDBDriver")
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
+      var inputRows = 0L
       for ((name, df) <- tables) {
         val cols = df.columns
         conn.createStatement.execute(
@@ -46,7 +68,9 @@ object Oracle {
         val ps = conn.prepareStatement(
           s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
         )
-        df.collect().foreach { r =>
+        val rows = df.collect()
+        inputRows += rows.length
+        rows.foreach { r =>
           cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
           ps.addBatch()
         }
@@ -67,10 +91,12 @@ object Oracle {
       )
       val got = canon(sparkDf.collect().toSeq, sCols)
       val exp = canon(dRows, dCols)
-      require(got == exp,
+      val mismatched = got.zip(exp).filterNot { case (g, e) =>
+        g.zip(e).forall { case (a, b) => sameCell(a, b, inputRows) }
+      }
+      require(got.size == exp.size && mismatched.isEmpty,
         s"result mismatch (${got.size} vs ${exp.size} rows):\n" +
-        s"  first spark-only: ${got.diff(exp).take(3)}\n" +
-        s"  first duck-only:  ${exp.diff(got).take(3)}"
+        s"  first differing (spark, duckdb) rows: ${mismatched.take(3)}"
       )
     } finally conn.close()
   }

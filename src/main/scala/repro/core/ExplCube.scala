@@ -96,22 +96,11 @@ final class ExplCube(
 
   /** Deduplicate explanations whose series are identical (hierarchy
     * functional dependencies make e.g. `subcategory=x` and
-    * `category=c & subcategory=x` cover the same records); keeps the
-    * lowest-order, lexicographically-smallest representative.
+    * `category=c & subcategory=x` cover the same records); keeps each
+    * explanation that is its own [[canonicalExpl]], in id order.
     */
   def dedupIdenticalSeries: ExplCube = {
-    val byKey = scala.collection.mutable.LinkedHashMap.empty[Seq[Double], Int]
-    for (id <- expls.indices) {
-      val key: Seq[Double] = series(id).toSeq
-      byKey.get(key) match {
-        case None => byKey(key) = id
-        case Some(prev) =>
-          val a = expls(prev); val b = expls(id)
-          val ord = Ordering.Tuple2[Int, String]
-          if (ord.lt((b.order, b.toString), (a.order, a.toString))) byKey(key) = id
-      }
-    }
-    val ids = byKey.values.toVector.sorted
+    val ids = expls.indices.filter(id => canonicalExpl(id) == expls(id)).toVector
     new ExplCube(attrs, times, total, ids.map(expls), ids.map(series).toArray)
   }
 

@@ -6,8 +6,8 @@ package repro.core
   * Objects are the unit segments [p_x, p_x+1]; the centroid of a partition
   * [p_i, p_j] is the partition itself. Top-explanation lists are supplied by
   * `topFn` (full CA, guess-and-verify CA, …) and should be cached by the
-  * caller — this class caches unit-object lists and pairwise object
-  * distances, which are shared across all candidate partitions.
+  * caller — this class memoizes costs in a dense n×n array, and the
+  * pairwise object distances the all-pair metrics share.
   */
 final class SegmentCosts(
     val cube: ExplCube,
@@ -15,14 +15,10 @@ final class SegmentCosts(
     topFn: Segment => TopIds,
 ) {
   private val ndcg = new Ndcg(cube)
-  private val nUnits = cube.n - 1
+  private val n = cube.n
+  private val nUnits = n - 1
 
-  private val unitTopCache = new Array[TopIds](nUnits)
-  private def unitTop(x: Int): TopIds = {
-    var t = unitTopCache(x)
-    if (t == null) { t = topFn(Segment(x, x + 1)); unitTopCache(x) = t }
-    t
-  }
+  private def unitTop(x: Int): TopIds = topFn(Segment(x, x + 1))
 
   // Pairwise object-object distances, needed only by the allpair metrics.
   private lazy val pairDist: Array[Array[Double]] = {
@@ -68,7 +64,7 @@ final class SegmentCosts(
         var x = i
         while (x < j) {
           val oseg = Segment(x, x + 1)
-          val otop = unitTop(x)
+          val otop = topFn(oseg)
           val d = metric match {
             case VarianceMetric.Tse | VarianceMetric.STse     => ndcg.dist(cseg, ctop, oseg, otop)
             case VarianceMetric.Dist1 | VarianceMetric.SDist1 => ndcg.dist1(cseg, ctop, otop)
@@ -82,18 +78,15 @@ final class SegmentCosts(
     }
   }
 
-  private val costCache = new java.util.HashMap[Long, java.lang.Double]()
+  // weightedVar(i, j) at i·n + j; NaN marks a cell not yet computed.
+  private val costMemo = Array.fill(n * n)(Double.NaN)
 
   /** Memoized [[weightedVar]]. */
   def cost(i: Int, j: Int): Double = {
-    val key = (i.toLong << 32) | j.toLong
-    val hit = costCache.get(key)
-    if (hit != null) hit.doubleValue()
-    else {
-      val v = weightedVar(i, j)
-      costCache.put(key, v)
-      v
-    }
+    val c = i * n + j
+    var v = costMemo(c)
+    if (v.isNaN) { v = weightedVar(i, j); costMemo(c) = v }
+    v
   }
 
   /** Objective Σ |P_k|·var(P_k) of a full segmentation scheme (Problem 1). */
@@ -112,12 +105,7 @@ object KSegmentation {
     * +∞ / None when no k-segmentation satisfies the max-segment-length
     * constraint (e.g. K = 1 during sketch phase I).
     */
-  final case class DPResult(curve: Vector[Double], schemes: Vector[Option[SegScheme]]) {
-    def forK(k: Int): (SegScheme, Double) = (schemes(k - 1).get, curve(k - 1))
-    /** The feasible prefix-free sub-curve as (k, variance) pairs. */
-    def feasible: Vector[(Int, Double)] =
-      curve.zipWithIndex.collect { case (v, i) if v.isFinite => (i + 1, v) }
-  }
+  final case class DPResult(curve: Vector[Double], schemes: Vector[Option[SegScheme]])
 
   def dp(
       cost: (Int, Int) => Double,
@@ -131,26 +119,36 @@ object KSegmentation {
     val np = p.length
     val kCap = math.min(kMax, np - 1)
     require(kCap >= 1, "need at least one segment")
-    val lenOk: (Int, Int) => Boolean = (i, j) => maxSegLen.forall(l => p(j) - p(i) <= l)
+    // A segment ending at p(a) may start at p(b) only for b ≥ firstStart(a),
+    // the first position within maxSegLen of p(a) (nondecreasing in a).
+    val cap = maxSegLen.getOrElse(Int.MaxValue)
+    val firstStart = new Array[Int](np)
+    var a = 0
+    var lo = 0
+    while (a < np) {
+      while (lo < a && p(a) - p(lo) > cap) lo += 1
+      firstStart(a) = lo
+      a += 1
+    }
 
     val inf = Double.PositiveInfinity
     // d(k)(a): min total weighted variance covering [p(0), p(a)] with k segments.
     val d = Array.fill(kCap + 1)(Array.fill(np)(inf))
     val from = Array.fill(kCap + 1)(Array.fill(np)(-1))
-    var a = 1
+    a = 1
     while (a < np) {
-      if (lenOk(0, a)) { d(1)(a) = cost(p(0), p(a)); from(1)(a) = 0 }
+      if (firstStart(a) == 0) { d(1)(a) = cost(p(0), p(a)); from(1)(a) = 0 }
       a += 1
     }
     var k = 2
     while (k <= kCap) {
       a = k // need at least k segments worth of positions before p(a)
       while (a < np) {
-        var b = k - 1
+        var b = math.max(k - 1, firstStart(a))
         var best = inf
         var arg = -1
         while (b < a) {
-          if (lenOk(b, a) && d(k - 1)(b) < inf) {
+          if (d(k - 1)(b) < inf) {
             val v = d(k - 1)(b) + cost(p(b), p(a))
             if (v < best) { best = v; arg = b }
           }

@@ -15,15 +15,36 @@ final case class TSConfig(
   def withAllOpts: TSConfig = copy(guessVerify = true, sketch = true)
 }
 
-/** Wall-clock breakdown matching Figure 15's three pipeline modules. */
+/** Wall-clock breakdown matching Figure 15's three pipeline modules; `caMs`
+  * is the time spent getting top-m lists from the [[TopLists]] source.
+  */
 final case class Timings(precomputeMs: Double, caMs: Double, ksegMs: Double) {
   def totalMs: Double = precomputeMs + caMs + ksegMs
 }
 
+/** Where the pipeline gets its top-m lists: the one pluggable point of
+  * [[TSExplain.explain]]. A source solves one batch of segments of the
+  * precomputed cube and returns their lists in segment order.
+  */
+trait TopLists {
+  def apply(cube: ExplCube, cfg: TSConfig, segments: Seq[Segment]): Array[TopIds]
+}
+
+object TopLists {
+
+  /** Per-segment solver: O1 guess-and-verify when `cfg.guessVerify`, else CA. */
+  def solver(cube: ExplCube, cfg: TSConfig): Segment => TopIds =
+    if (cfg.guessVerify) new GuessVerify(cube, cfg.m, cfg.maxOrder).topIds _
+    else new CascadingAnalysts(cube, cfg.m, cfg.maxOrder).topIds _
+
+  /** One solver on the driver, run over the batch in order. */
+  val Driver: TopLists = (cube, cfg, segments) => segments.iterator.map(solver(cube, cfg)).toArray
+}
+
 /** The TSExplain pipeline (Figure 7): precompute (filter/smooth the cube) →
-  * per-segment Cascading Analysts → K-Segmentation DP → elbow K → evolving
-  * explanations. Optimizations O1 (guess-and-verify) and O2 (sketching) plug
-  * into the CA stage and the candidate cut positions respectively.
+  * top-m lists per segment → K-Segmentation DP → elbow K → evolving
+  * explanations. O1 (guess-and-verify) is chosen by the [[TopLists]] solver;
+  * O2 (sketching) restricts the DP's candidate cut positions.
   */
 object TSExplain {
 
@@ -31,73 +52,83 @@ object TSExplain {
       explanation: Explanation,
       timings: Timings,
       cube: ExplCube,
-      costs: SegmentCosts,
       candidates: Vector[Int],
   )
 
-  def explain(cube0: ExplCube, cfg: TSConfig): Result = {
+  def explain(cube0: ExplCube, cfg: TSConfig, tops: TopLists = TopLists.Driver): Result = {
     val t0 = System.nanoTime()
-    var cube = cfg.smoothWindow.fold(cube0)(cube0.smoothed)
-    cube = cfg.filterRatio.fold(cube)(cube.filtered)
+    val smoothed = cfg.smoothWindow.fold(cube0)(cube0.smoothed)
+    val cube = cfg.filterRatio.fold(smoothed)(smoothed.filtered)
     val precomputeMs = (System.nanoTime() - t0) / 1e6
+    val n = cube.n
 
-    // Per-segment top-explanation provider with caching; CA time is
-    // accumulated across all (lazy) invocations for the Fig. 15 breakdown.
-    var caNanos = 0L
-    val solver: Segment => TopIds =
-      if (cfg.guessVerify) {
-        val gv = new GuessVerify(cube, cfg.m, cfg.maxOrder)
-        gv.topIds _
-      } else {
-        val ca = new CascadingAnalysts(cube, cfg.m, cfg.maxOrder)
-        ca.topIds _
+    // Top-m lists indexed i·n + j. Before each DP run, the segments it will
+    // read are solved in one batch, so no segment is solved twice.
+    val table = new Array[TopIds](n * n)
+    val requested = new java.util.BitSet(n * n)
+    var fillNanos = 0L
+    def fill(segments: Iterator[Segment]): Unit = {
+      val batch = Vector.newBuilder[Segment]
+      for (s <- segments) {
+        val c = s.i * n + s.j
+        if (!requested.get(c)) { requested.set(c); batch += s }
       }
-    val topCache = new java.util.HashMap[Long, TopIds]()
-    val topFn: Segment => TopIds = { seg =>
-      val key = (seg.i.toLong << 32) | seg.j.toLong
-      val hit = topCache.get(key)
-      if (hit != null) hit
-      else {
+      val todo = batch.result()
+      if (todo.nonEmpty) {
         val s = System.nanoTime()
-        val r = solver(seg)
-        caNanos += System.nanoTime() - s
-        topCache.put(key, r)
-        r
+        val got = tops(cube, cfg, todo)
+        fillNanos += System.nanoTime() - s
+        var k = 0
+        while (k < todo.size) { table(todo(k).i * n + todo(k).j) = got(k); k += 1 }
+      }
+    }
+    val top: Segment => TopIds = s => table(s.i * n + s.j)
+    val costs = new SegmentCosts(cube, cfg.metric, top)
+
+    // The lists `SegmentCosts` reads for a DP over `positions`: every unit
+    // segment and, except for the all-pair metrics (which compare unit lists
+    // only), every segment the DP costs. With finite costs and a length cap
+    // that every position can reach (all positions under L ≥ 2, or no cap),
+    // that is each pair within the cap; with K ≤ 1 only those starting at
+    // the first position.
+    val unitsOnly = cfg.metric == VarianceMetric.AllPair || cfg.metric == VarianceMetric.SAllPair
+    def dpReads(positions: Vector[Int], kMax: Int, maxSegLen: Int = n): Iterator[Segment] = {
+      val units = Iterator.range(0, n - 1).map(x => Segment(x, x + 1))
+      if (unitsOnly) units
+      else {
+        val starts = if (math.min(kMax, positions.size - 1) >= 2) positions.size - 1 else 1
+        units ++ (for {
+          b <- Iterator.range(0, starts)
+          a <- Iterator.range(b + 1, positions.size)
+          if positions(a) - positions(b) <= maxSegLen
+        } yield Segment(positions(b), positions(a)))
       }
     }
 
-    val costs = new SegmentCosts(cube, cfg.metric, topFn)
     val t1 = System.nanoTime()
+    val all = (0 until n).toVector
     val candidates: Vector[Int] =
-      if (cfg.sketch) Sketch.select(costs) else (0 until cube.n).toVector
+      if (cfg.sketch) {
+        fill(dpReads(all, Sketch.sketchSize(n), Sketch.maxSegLen(n)))
+        Sketch.select(costs)
+      } else all
     val kCap = math.min(cfg.kMax, candidates.size - 1)
+    fill(dpReads(candidates, kCap))
     val dpRes = KSegmentation.dp(costs.cost, candidates, kCap)
     val curve = dpRes.curve
     val k = cfg.fixedK.map(k0 => math.max(1, math.min(k0, kCap))).getOrElse(Elbow.select(curve))
     val scheme = dpRes.schemes(k - 1).get
-    val perSegment = scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, topFn(s)))
+    fill(scheme.segments.iterator) // new only for the all-pair metrics
+    val perSegment = scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, top(s)))
     val stageNanos = System.nanoTime() - t1
-    val caMs = caNanos / 1e6
+    val caMs = fillNanos / 1e6
     val ksegMs = math.max(0.0, stageNanos / 1e6 - caMs)
 
     Result(
       Explanation(scheme, curve(k - 1), perSegment, curve.zipWithIndex.map { case (v, i) => (i + 1, v) }),
       Timings(precomputeMs, caMs, ksegMs),
       cube,
-      costs,
       candidates,
     )
-  }
-
-  /** Render an explanation as the paper's per-segment table (Tables 3-5). */
-  def render(cube: ExplCube, e: Explanation): String = {
-    val sb = new StringBuilder
-    sb ++= f"K=${e.scheme.k} totalVariance=${e.totalVariance}%.4f\n"
-    sb ++= "Segment | Top-1 Expl | Top-2 Expl | Top-3 Expl\n"
-    for ((seg, top) <- e.perSegment) {
-      val cells = top.ranked.map(r => s"${r.expl} ${if (r.tau >= 0) "+" else "-"}")
-      sb ++= s"${cube.times(seg.i)} ~ ${cube.times(seg.j)} | ${cells.padTo(3, "—").mkString(" | ")}\n"
-    }
-    sb.result()
   }
 }

@@ -2,7 +2,6 @@ package repro.cube
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.expressions.Window
 import repro.core.{Expl, ExplCube}
 
 /** Spark-side precomputation (Section 5.2, module a).
@@ -46,17 +45,6 @@ object ExplanationCube {
       .where(order <= maxOrder)
   }
 
-  /** Per-explanation unit-segment deltas via a `lag` window partitioned by
-    * explanation — the γ of every atomic object [p_x, p_x+1] as a DataFrame.
-    */
-  def unitDeltasDF(cube: DataFrame, timeCol: String, attrs: Seq[String]): DataFrame = {
-    val w = Window.partitionBy(col("gid") +: attrs.map(col): _*).orderBy(col(timeCol))
-    cube
-      .withColumn("prev_value", lag(col("agg_value"), 1).over(w))
-      .where(col("prev_value").isNotNull)
-      .withColumn("delta", col("agg_value") - col("prev_value"))
-  }
-
   /** Build the in-memory [[ExplCube]]: run [[cubeDF]], collect, and pivot the
     * rows into per-explanation series aligned on the sorted time axis.
     * Timestamps absent from an explanation's slice contribute 0 (empty SUM).
@@ -67,7 +55,6 @@ object ExplanationCube {
       attrs: Seq[String],
       measureCol: String,
       maxOrder: Int = 3,
-      dedupIdentical: Boolean = false,
   ): ExplCube = {
     val timesOrdered: Vector[String] =
       df.select(col(timeCol)).distinct().orderBy(col(timeCol)).collect().map(_.get(0).toString).toVector
@@ -94,7 +81,6 @@ object ExplanationCube {
         acc.getOrElseUpdate(e, new Array[Double](n))(t) = v
       }
     }
-    val cube = ExplCube.fromSeries(attrs, timesOrdered, total, acc.toSeq)
-    if (dedupIdentical) cube.dedupIdenticalSeries else cube
+    ExplCube.fromSeries(attrs, timesOrdered, total, acc.toSeq)
   }
 }

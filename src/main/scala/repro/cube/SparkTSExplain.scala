@@ -1,15 +1,15 @@
 package repro.cube
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, SparkSession}
 import repro.core._
 
 /** Spark orchestration of the TSExplain pipeline.
   *
   * Two distributed paths:
-  *   1. [[topIdsPerSegment]] fans the O(n²) per-segment Cascading Analysts
-  *      stage (the pipeline bottleneck, §5.2) out over executors with the
-  *      explanation cube broadcast once; the sequential K-Segmentation DP
-  *      then runs on the driver over the collected top lists.
+  *   1. [[topLists]] is the [[TopLists]] source that fans each batch of the
+  *      per-segment top-m stage (the pipeline bottleneck, §5.2) out over
+  *      executors with the explanation cube broadcast; the rest of
+  *      [[TSExplain.explain]] runs on the driver over the collected lists.
   *   2. [[explainGrouped]] treats the whole pipeline as a custom
   *      dynamic-programming function applied per *grouped time series*
   *      (`groupByKey(seriesId).mapGroups`), so a fleet of independent series
@@ -17,60 +17,36 @@ import repro.core._
   */
 object SparkTSExplain {
 
-  /** Distributed module (b): top-m per segment with the cube broadcast. */
+  /** Distributed module (b): top-m lists of `segments`, in segment order,
+    * solved on executors with the cube broadcast once.
+    */
   def topIdsPerSegment(
       spark: SparkSession,
       cube: ExplCube,
       segments: Seq[Segment],
       cfg: TSConfig,
-  ): Map[(Int, Int), TopIds] = {
+  ): Array[TopIds] = {
     import spark.implicits._
     val bc = spark.sparkContext.broadcast(cube)
-    val m = cfg.m; val maxOrder = cfg.maxOrder; val gv = cfg.guessVerify
-    spark
-      .createDataset(segments.map(s => (s.i, s.j)))
+    val solved = spark
+      .createDataset(segments.zipWithIndex.map { case (s, k) => (k, s.i, s.j) })
       .repartition(math.max(1, math.min(64, segments.size / 64)))
       .mapPartitions { it =>
-        val c = bc.value
-        val solver: Segment => TopIds =
-          if (gv) new GuessVerify(c, m, maxOrder).topIds _
-          else new CascadingAnalysts(c, m, maxOrder).topIds _
-        it.map { case (i, j) =>
-          val t = solver(Segment(i, j))
-          (i, j, t.ids, t.gammas, t.taus, t.best)
+        val solve = TopLists.solver(bc.value, cfg)
+        it.map { case (k, i, j) =>
+          val t = solve(Segment(i, j))
+          (k, t.ids, t.gammas, t.taus, t.best)
         }
       }
       .collect()
-      .map { case (i, j, ids, gs, ts, best) => (i, j) -> TopIds(ids, gs, ts, best) }
-      .toMap
+    val out = new Array[TopIds](segments.size)
+    for ((k, ids, gs, ts, best) <- solved) out(k) = TopIds(ids, gs, ts, best)
+    out
   }
 
-  /** Full explain with the CA stage distributed (no-sketch configurations):
-    * precompute all unit + candidate-segment top lists on executors, then run
-    * SegmentCosts + DP + elbow on the driver. Result is identical to the
-    * driver-only [[TSExplain.explain]] — tests assert the parity.
-    */
-  def explainDistributed(spark: SparkSession, cube0: ExplCube, cfg: TSConfig): Explanation = {
-    require(!cfg.sketch, "distributed path covers non-sketch configs; use TSExplain.explain for O2")
-    var cube = cfg.smoothWindow.fold(cube0)(cube0.smoothed)
-    cube = cfg.filterRatio.fold(cube)(cube.filtered)
-    val n = cube.n
-    val segments =
-      (for { i <- 0 until n; j <- i + 1 until n } yield Segment(i, j)).toVector
-    val tops = topIdsPerSegment(spark, cube, segments, cfg)
-    val topFn: Segment => TopIds = s => tops((s.i, s.j))
-    val costs = new SegmentCosts(cube, cfg.metric, topFn)
-    val kCap = math.min(cfg.kMax, n - 1)
-    val dpRes = KSegmentation.dp(costs.cost, (0 until n).toVector, kCap)
-    val k = cfg.fixedK.map(k0 => math.max(1, math.min(k0, kCap))).getOrElse(Elbow.select(dpRes.curve))
-    val scheme = dpRes.schemes(k - 1).get
-    Explanation(
-      scheme,
-      dpRes.curve(k - 1),
-      scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, topFn(s))),
-      dpRes.curve.zipWithIndex.map { case (v, i) => (i + 1, v) },
-    )
-  }
+  /** The [[TopLists]] source that solves each batch with [[topIdsPerSegment]]. */
+  def topLists(spark: SparkSession): TopLists =
+    (cube, cfg, segments) => topIdsPerSegment(spark, cube, segments, cfg)
 
   /** One row of a many-series relation: (seriesId, timeIndex, category, m). */
   type SeriesRow = (String, Int, String, Double)

@@ -1,8 +1,8 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.synth.SyntheticGen
-import repro.eval.Metrics
+import repro.synth.{RealWorldSim, SyntheticGen}
+import repro.eval.{Benches, Metrics}
 
 class TSExplainSpec extends AnyFunSuite {
 
@@ -106,7 +106,7 @@ class TSExplainSpec extends AnyFunSuite {
   test("render produces one row per segment") {
     val ds = SyntheticGen.generate(n = 40, snrDb = 40, seed = 16)
     val res = TSExplain.explain(ds.cube, TSConfig(fixedK = Some(3)))
-    val text = TSExplain.render(res.cube, res.explanation)
+    val text = Benches.renderCanonical(res.cube, res.explanation)
     assert(text.linesIterator.size == 2 + res.explanation.scheme.k)
   }
 
@@ -114,5 +114,75 @@ class TSExplainSpec extends AnyFunSuite {
     val ds = SyntheticGen.generate(n = 30, snrDb = 40, seed = 17)
     val res = TSExplain.explain(ds.cube, TSConfig(fixedK = Some(2)))
     assert(res.candidates == (0 until 30).toVector)
+  }
+
+  // ------------------------------------------- the pipeline as public calls
+
+  /** `explain` recomposed from each layer's public calls, solving a
+    * segment's top list when a layer first reads it; also returns the
+    * segments solved, in that order.
+    */
+  def recompose(cube0: ExplCube, cfg: TSConfig): (Explanation, Seq[Segment]) = {
+    val smoothed = cfg.smoothWindow.fold(cube0)(cube0.smoothed)
+    val cube = cfg.filterRatio.fold(smoothed)(smoothed.filtered)
+    val solve: Segment => TopIds =
+      if (cfg.guessVerify) new GuessVerify(cube, cfg.m, cfg.maxOrder).topIds _
+      else new CascadingAnalysts(cube, cfg.m, cfg.maxOrder).topIds _
+    val solved = scala.collection.mutable.LinkedHashMap.empty[Segment, TopIds]
+    val top: Segment => TopIds = s => solved.getOrElseUpdate(s, solve(s))
+    val costs = new SegmentCosts(cube, cfg.metric, top)
+    val candidates = if (cfg.sketch) Sketch.select(costs) else (0 until cube.n).toVector
+    val kCap = math.min(cfg.kMax, candidates.size - 1)
+    val dp = KSegmentation.dp(costs.cost, candidates, kCap)
+    val k = cfg.fixedK.fold(Elbow.select(dp.curve))(k0 => math.max(1, math.min(k0, kCap)))
+    val scheme = dp.schemes(k - 1).get
+    val perSegment = scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, top(s)))
+    val curve = dp.curve.zipWithIndex.map { case (v, i) => (i + 1, v) }
+    (Explanation(scheme, dp.curve(k - 1), perSegment, curve), solved.keys.toVector)
+  }
+
+  /** A driver source that records every segment it is asked to solve. */
+  final class CountingTopLists extends TopLists {
+    val solved = scala.collection.mutable.ArrayBuffer.empty[Segment]
+    def apply(cube: ExplCube, cfg: TSConfig, segments: Seq[Segment]): Array[TopIds] = {
+      solved ++= segments
+      TopLists.Driver(cube, cfg, segments)
+    }
+  }
+
+  lazy val synth = SyntheticGen.generate(n = 100, snrDb = 40, seed = 18).cube
+  // ε > 200, so O1 guesses on sub-cubes instead of delegating to full CA.
+  lazy val liquor = RealWorldSim.liquor().cube.slice(0, 40)
+
+  lazy val pipelineCases: Seq[(String, ExplCube, TSConfig)] = Seq(
+    ("vanilla", synth, TSConfig()),
+    ("fixed K", synth, TSConfig(fixedK = Some(4))),
+    ("kMax 1", synth, TSConfig(kMax = 1)),
+    ("smoothed", synth, TSConfig(smoothWindow = Some(5))),
+    ("O2", synth, TSConfig(sketch = true)),
+    ("allpair", synth, TSConfig(metric = VarianceMetric.AllPair)),
+    ("squared allpair + O2", synth, TSConfig(metric = VarianceMetric.SAllPair, sketch = true)),
+    ("filter + O1", liquor, TSConfig(filterRatio = Some(0.001), guessVerify = true)),
+    ("filter + O1 + O2", liquor, TSConfig(filterRatio = Some(0.001)).withAllOpts),
+  )
+
+  test("explain equals its recomposition from public calls") {
+    for ((name, cube, cfg) <- pipelineCases)
+      assert(TSExplain.explain(cube, cfg).explanation == recompose(cube, cfg)._1, name)
+  }
+
+  test("explain solves each segment once, and just the segments the layers read") {
+    for ((name, cube, cfg) <- pipelineCases) {
+      val counting = new CountingTopLists
+      TSExplain.explain(cube, cfg, counting)
+      assert(counting.solved.distinct.size == counting.solved.size, s"$name: a segment solved twice")
+      assert(counting.solved.toSet == recompose(cube, cfg)._2.toSet, name)
+    }
+  }
+
+  test("vanilla explain solves every one of the n(n-1)/2 segments") {
+    val counting = new CountingTopLists
+    TSExplain.explain(synth, TSConfig(), counting)
+    assert(counting.solved.size == synth.n * (synth.n - 1) / 2)
   }
 }

@@ -108,9 +108,8 @@ class ExplanationCubeSpec extends SparkSpec {
     val sim = RealWorldSim.sp500()
     val recs = sim.records().filter(_._2 < 12) // small time window for speed
     val df = SynthData.explainRelation(spark, Seq("category", "subcategory", "stock"), recs)
-    val deduped = ExplanationCube.build(df, "t", Seq("category", "subcategory", "stock"), "m",
-      maxOrder = 3, dedupIdentical = true)
-    assert(deduped.epsilon == 610)
+    val cube = ExplanationCube.build(df, "t", Seq("category", "subcategory", "stock"), "m", maxOrder = 3)
+    assert(cube.dedupIdenticalSeries.epsilon == 610)
   }
 
   test("absent (explanation, timestamp) combinations aggregate to 0") {
@@ -121,31 +120,5 @@ class ExplanationCubeSpec extends SparkSpec {
     val df = SynthData.explainRelation(spark, Seq("a"), recs)
     val cube = ExplanationCube.build(df, "t", Seq("a"), "m")
     assert(cube.series(cube.idOf(Expl.of("a" -> "x"))).toSeq == Seq(5.0, 0.0))
-  }
-
-  // ------------------------------------------------- window-function deltas
-
-  test("unitDeltasDF (lag window) equals the core unit-segment γ values") {
-    val cubeDf = ExplanationCube.cubeDF(synthDf, "t", Seq("category"), "m")
-    val deltas = ExplanationCube.unitDeltasDF(cubeDf, "t", Seq("category"))
-      .where(col("gid") === 0)
-      .select(col("t"), col("category"), col("delta"))
-      .collect()
-      .map(r => (r.getAs[Any]("t").toString.toInt, r.getString(1), r.getDouble(2)))
-    val coreCube = ExplCube.fromRecords(
-      Seq("category"), (0 until synthDs.cube.n).map(_.toString), SyntheticGen.records(synthDs))
-    for ((t, cat, d) <- deltas) {
-      val id = coreCube.idOf(Expl.of("category" -> cat))
-      val seg = Segment(t - 1, t)
-      assert(math.abs(math.abs(d) - coreCube.gamma(id, seg)) < 1e-6, s"t=$t cat=$cat")
-      assert(math.signum(d).toInt == coreCube.tau(id, seg), s"t=$t cat=$cat sign")
-    }
-  }
-
-  test("unitDeltasDF emits n-1 deltas per explanation") {
-    val cubeDf = ExplanationCube.cubeDF(synthDf, "t", Seq("category"), "m")
-    val counts = ExplanationCube.unitDeltasDF(cubeDf, "t", Seq("category"))
-      .groupBy("gid", "category").count().collect()
-    assert(counts.forall(_.getLong(counts.head.fieldIndex("count")) == synthDs.cube.n - 1))
   }
 }

@@ -2,7 +2,7 @@ package repro.cube
 
 import repro.{SparkSpec, SynthData}
 import repro.core._
-import repro.synth.SyntheticGen
+import repro.synth.{RealWorldSim, SyntheticGen}
 
 class SparkTSExplainSpec extends SparkSpec {
 
@@ -12,8 +12,7 @@ class SparkTSExplainSpec extends SparkSpec {
     val segments = for { i <- 0 until ds.cube.n; j <- i + 1 until ds.cube.n } yield Segment(i, j)
     val dist = SparkTSExplain.topIdsPerSegment(spark, ds.cube, segments, TSConfig())
     val ca = new CascadingAnalysts(ds.cube, 3)
-    for (seg <- segments.take(200)) {
-      val a = dist((seg.i, seg.j))
+    for ((seg, a) <- segments.zip(dist).take(200)) {
       val b = ca.topIds(seg)
       assert(a.ids.toSeq == b.ids.toSeq, s"$seg ids")
       assert(a.best.toSeq == b.best.toSeq, s"$seg best")
@@ -24,31 +23,28 @@ class SparkTSExplainSpec extends SparkSpec {
     val segments = Seq(Segment(0, 10), Segment(5, 30), Segment(0, ds.cube.n - 1))
     val dist = SparkTSExplain.topIdsPerSegment(spark, ds.cube, segments, TSConfig(guessVerify = true))
     val ca = new CascadingAnalysts(ds.cube, 3)
-    for (seg <- segments)
-      assert(math.abs(dist((seg.i, seg.j)).best(3) - ca.topIds(seg).best(3)) < 1e-9)
+    for ((seg, t) <- segments.zip(dist))
+      assert(math.abs(t.best(3) - ca.topIds(seg).best(3)) < 1e-9)
   }
 
-  test("explainDistributed equals the driver-only pipeline (fixed K)") {
-    val cfg = TSConfig(fixedK = Some(ds.k))
-    val a = SparkTSExplain.explainDistributed(spark, ds.cube, cfg)
-    val b = TSExplain.explain(ds.cube, cfg).explanation
-    assert(a.scheme == b.scheme)
-    assert(math.abs(a.totalVariance - b.totalVariance) < 1e-9)
-    assert(a.kVarianceCurve.map(_._2).zip(b.kVarianceCurve.map(_._2))
-      .forall { case (x, y) => math.abs(x - y) < 1e-9 })
+  // ε > 200, so O1 guesses on sub-cubes instead of delegating to full CA.
+  lazy val liquor = RealWorldSim.liquor().cube.slice(0, 30)
+
+  def sameAsDriver(cube: ExplCube, cfg: TSConfig): Unit = {
+    val onSpark = TSExplain.explain(cube, cfg, SparkTSExplain.topLists(spark)).explanation
+    assert(onSpark == TSExplain.explain(cube, cfg).explanation)
   }
 
-  test("explainDistributed equals the driver-only pipeline (elbow K)") {
-    val cfg = TSConfig(kMax = 10)
-    val a = SparkTSExplain.explainDistributed(spark, ds.cube, cfg)
-    val b = TSExplain.explain(ds.cube, cfg).explanation
-    assert(a.scheme == b.scheme)
+  test("explain on Spark top lists equals the driver (vanilla, fixed K)") {
+    sameAsDriver(ds.cube, TSConfig(fixedK = Some(ds.k)))
   }
 
-  test("explainDistributed rejects sketch configs (driver-only optimization)") {
-    intercept[IllegalArgumentException] {
-      SparkTSExplain.explainDistributed(spark, ds.cube, TSConfig(sketch = true))
-    }
+  test("explain on Spark top lists equals the driver (filter + O1, elbow K)") {
+    sameAsDriver(liquor, TSConfig(filterRatio = Some(0.001), guessVerify = true, kMax = 10))
+  }
+
+  test("explain on Spark top lists equals the driver (filter + O1 + O2)") {
+    sameAsDriver(liquor, TSConfig(filterRatio = Some(0.001)).withAllOpts)
   }
 
   test("explainGrouped runs the full DP per grouped series and matches driver results") {
