@@ -18,7 +18,11 @@ final class SegmentCosts(
   private val n = cube.n
   private val nUnits = n - 1
 
-  private def unitTop(x: Int): TopIds = topFn(Segment(x, x + 1))
+  // The unit segments (objects), built once: a fresh Segment per object
+  // read in weightedVar's loop allocates unless the JIT elides it.
+  private val units: Array[Segment] = Array.tabulate(nUnits)(x => Segment(x, x + 1))
+
+  private def unitTop(x: Int): TopIds = topFn(units(x))
 
   // Pairwise object-object distances, needed only by the allpair metrics.
   private lazy val pairDist: Array[Array[Double]] = {
@@ -27,7 +31,7 @@ final class SegmentCosts(
     while (x < nUnits) {
       var y = x + 1
       while (y < nUnits) {
-        val v = ndcg.dist(Segment(x, x + 1), unitTop(x), Segment(y, y + 1), unitTop(y))
+        val v = ndcg.dist(units(x), unitTop(x), units(y), unitTop(y))
         d(x)(y) = v; d(y)(x) = v
         y += 1
       }
@@ -63,7 +67,7 @@ final class SegmentCosts(
         var s = 0.0
         var x = i
         while (x < j) {
-          val oseg = Segment(x, x + 1)
+          val oseg = units(x)
           val otop = topFn(oseg)
           val d = metric match {
             case VarianceMetric.Tse | VarianceMetric.STse     => ndcg.dist(cseg, ctop, oseg, otop)

@@ -1,25 +1,30 @@
 package repro.cube
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.expressions.RowOrdering
 import org.apache.spark.sql.functions._
 import repro.core.{Expl, ExplCube}
 
 /** Spark-side precomputation (Section 5.2, module a).
   *
-  * One Catalyst `CUBE` aggregation over the relation computes the aggregated
-  * time series of *every* candidate explanation at once: grouping sets over
-  * (T, A1..Ak) where T is always kept; `grouping_id()` identifies which
-  * explain-by attributes are concrete in each output row, i.e. which
-  * conjunction (explanation) the row belongs to. Rows whose conjunction
-  * order exceeds β̄ are dropped with a plain filter on the popcount of the
-  * grouping id. The result is collected into the in-memory [[ExplCube]] that
-  * the CA / K-Segmentation stages consume with O(1) γ lookups.
+  * One Catalyst `GROUPING SETS` aggregation over the relation computes the
+  * aggregated time series of *every* candidate explanation at once: one
+  * grouping set (T, S) per subset S of the explain-by attributes with
+  * |S| ≤ β̄, so T is always kept and no set is computed only to be dropped.
+  * `grouping_id()` identifies which explain-by attributes are concrete in
+  * each output row, i.e. which conjunction (explanation) the row belongs to.
+  * The result is collected into the in-memory [[ExplCube]] that the CA /
+  * K-Segmentation stages consume with O(1) γ lookups.
   */
 object ExplanationCube {
 
-  /** The raw cube DataFrame: columns (timeCol, attrs…, gid, agg_value), one
+  /** The raw cube DataFrame: columns (timeCol, attrs…, agg_value, gid), one
     * row per (explanation, timestamp) — including the order-0 "total" rows
-    * where every attribute is aggregated. Time-aggregated rows are dropped.
+    * where every attribute is aggregated. `gid` is Spark's `grouping_id()`
+    * over (timeCol, attrs…): the first column is the most significant bit,
+    * and a set bit means the column is aggregated away in that row; the
+    * time bit is always clear.
     */
   def cubeDF(
       df: DataFrame,
@@ -29,25 +34,24 @@ object ExplanationCube {
       maxOrder: Int = 3,
   ): DataFrame = {
     require(attrs.nonEmpty && attrs.size <= 30, "1..30 explain-by attributes")
-    val gcols = col(timeCol) +: attrs.map(col)
-    val cubed = df
-      .cube(gcols: _*)
+    require(maxOrder >= 0, s"maxOrder must be non-negative, got $maxOrder")
+    val t = col(timeCol)
+    val sets = (0 to math.min(maxOrder, attrs.size)).flatMap(o => attrs.combinations(o))
+      .map(s => t +: s.map(col))
+    df.groupingSets(sets, t +: attrs.map(col): _*)
       .agg(sum(col(measureCol)).as("agg_value"), grouping_id().as("gid"))
-    // grouping_id bit layout: first grouping column = most significant bit;
-    // a set bit means the column is aggregated away in that row.
-    val k = attrs.size
-    val timeBit = 1L << k // timeCol is first of (k+1) columns
-    val order = (0 until k)
-      .map(i => when((col("gid").cast("long").bitwiseAND(lit(1L << (k - 1 - i)))) === 0L, 1).otherwise(0))
-      .reduce(_ + _)
-    cubed
-      .where((col("gid").cast("long").bitwiseAND(lit(timeBit))) === 0L)
-      .where(order <= maxOrder)
   }
 
-  /** Build the in-memory [[ExplCube]]: run [[cubeDF]], collect, and pivot the
-    * rows into per-explanation series aligned on the sorted time axis.
-    * Timestamps absent from an explanation's slice contribute 0 (empty SUM).
+  /** Build the in-memory [[ExplCube]] from one aggregate over `df`: collect
+    * [[cubeDF]], take the time axis from its rows in Spark's ordering of the
+    * time column, and pivot the rows into per-explanation series aligned on
+    * that axis. Timestamps absent from an explanation's slice contribute 0
+    * (empty SUM).
+    *
+    * A null explain-by value counts as a missing attribute, as in
+    * [[ExplCube.fromRecords]]: the row counts toward the total and toward
+    * the conjunctions over its non-null attributes, and no `attr=null`
+    * explanation is made. A null time value is an `IllegalArgumentException`.
     */
   def build(
       df: DataFrame,
@@ -56,31 +60,37 @@ object ExplanationCube {
       measureCol: String,
       maxOrder: Int = 3,
   ): ExplCube = {
-    val timesOrdered: Vector[String] =
-      df.select(col(timeCol)).distinct().orderBy(col(timeCol)).collect().map(_.get(0).toString).toVector
-    val tIdx = timesOrdered.zipWithIndex.toMap
-    val n = timesOrdered.size
     val k = attrs.size
+    val agg = cubeDF(df, timeCol, attrs, measureCol, maxOrder)
+      .select(col(timeCol) +: attrs.map(col) :+ col("agg_value").cast("double") :+ col("gid"): _*)
+    val rows = agg.collect()
 
-    val rows = cubeDF(df, timeCol, attrs, measureCol, maxOrder).collect()
+    // The time axis: T's distinct values in the order Spark's own sort on
+    // T's type would give, computed on the driver so the relation is read once.
+    val timeType = agg.schema.head.dataType
+    val toCatalyst = CatalystTypeConverters.createToCatalystConverter(timeType)
+    val timeOrder = RowOrdering.createNaturalAscendingOrdering(Seq(timeType))
+    val timeValues = rows.map { r =>
+      if (r.isNullAt(0))
+        throw new IllegalArgumentException(s"time column '$timeCol' has null values")
+      r.get(0)
+    }.distinct.sortBy(v => InternalRow(toCatalyst(v)))(timeOrder)
+    val tIdx = timeValues.zipWithIndex.toMap
+    val n = timeValues.length
+
     val total = new Array[Double](n)
-    val acc = scala.collection.mutable.LinkedHashMap.empty[Expl, Array[Double]]
+    val acc = scala.collection.mutable.HashMap.empty[Expl, Array[Double]]
     for (r <- rows) {
-      val t = tIdx(r.get(0).toString)
-      val gid = r.getAs[Any]("gid").toString.toLong
-      val concrete = (0 until k).filter(i => (gid & (1L << (k - 1 - i))) == 0L)
-      val v = r.getAs[Any]("agg_value") match {
-        case null                         => 0.0
-        case d: java.lang.Number          => d.doubleValue()
-        case bd: java.math.BigDecimal     => bd.doubleValue()
-        case other                        => other.toString.toDouble
-      }
+      val t = tIdx(r.get(0))
+      val gid = r.getLong(k + 2)
+      val concrete = (0 until k).filter(a => (gid & (1L << (k - 1 - a))) == 0L)
+      val v = if (r.isNullAt(k + 1)) 0.0 else r.getDouble(k + 1)
       if (concrete.isEmpty) total(t) = v
-      else {
-        val e = Expl.of(concrete.map(i => attrs(i) -> String.valueOf(r.get(1 + i))): _*)
+      else if (!concrete.exists(a => r.isNullAt(1 + a))) {
+        val e = Expl.of(concrete.map(a => attrs(a) -> r.get(1 + a).toString): _*)
         acc.getOrElseUpdate(e, new Array[Double](n))(t) = v
       }
     }
-    ExplCube.fromSeries(attrs, timesOrdered, total, acc.toSeq)
+    ExplCube.fromSeries(attrs, timeValues.map(_.toString).toVector, total, acc.toSeq)
   }
 }

@@ -1,7 +1,14 @@
 package repro.cube
 
-import org.apache.spark.sql.DataFrame
+import java.util.concurrent.atomic.AtomicLong
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types._
+import org.apache.spark.sql.util.QueryExecutionListener
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core._
 import repro.synth.{RealWorldSim, SyntheticGen}
@@ -120,5 +127,89 @@ class ExplanationCubeSpec extends SparkSpec {
     val df = SynthData.explainRelation(spark, Seq("a"), recs)
     val cube = ExplanationCube.build(df, "t", Seq("a"), "m")
     assert(cube.series(cube.idOf(Expl.of("a" -> "x"))).toSeq == Seq(5.0, 0.0))
+  }
+
+  // ------------------------------------------ one scan, time axis, nulls
+
+  /** Records over (a, b, c) on 12 days; b is absent (null in the relation)
+    * on about a third of them and a real "null" string on some others.
+    */
+  private def recordsWithNullB: Seq[(Map[String, String], Int, Double)] = {
+    val rnd = new scala.util.Random(5)
+    Seq.tabulate(400) { i =>
+      val b = rnd.nextInt(6) match {
+        case 0 | 1 => None
+        case 2     => Some("null")
+        case v     => Some(s"b$v")
+      }
+      val vals = Map("a" -> s"a${rnd.nextInt(3)}", "c" -> s"c${rnd.nextInt(2)}") ++ b.map("b" -> _)
+      (vals, i % 12, rnd.nextInt(100).toDouble)
+    }
+  }
+
+  test("build scans the cached relation once") {
+    val df = SynthData.explainRelation(spark, Seq("a", "b", "c"), recordsWithNullB).cache()
+    val rows = df.count()
+    ListenerBusDrain(spark.sparkContext)
+    val scanned = new AtomicLong
+    val listener = new QueryExecutionListener with AdaptiveSparkPlanHelper {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        scanned.addAndGet(collect(qe.executedPlan) {
+          case s: InMemoryTableScanExec => s.metrics("numOutputRows").value
+        }.sum)
+      override def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      ExplanationCube.build(df, "t", Seq("a", "b", "c"), "m")
+      ListenerBusDrain(spark.sparkContext)
+    } finally spark.listenerManager.unregister(listener)
+    df.unpersist()
+    assert(scanned.get == rows)
+  }
+
+  test("build's time axis is Spark's ordering of T for int, string and date columns") {
+    val sess = spark
+    import sess.implicits._
+    // int days past 9, so string order differs from numeric order
+    val ints = Seq((12, "x", 1.0), (3, "y", 2.0), (10, "x", 3.0), (9, "y", 4.0), (3, "x", 5.0)).toDF("t", "a", "m")
+    val months = Seq(("2021-11", "x", 1.0), ("2020-02", "y", 2.0), ("2021-01", "x", 3.0), ("2020-02", "x", 4.0))
+      .toDF("t", "a", "m")
+    val dates = months.select(to_date(col("t"), "yyyy-MM").as("t"), col("a"), col("m"))
+    assert(dates.schema("t").dataType == DateType)
+    // Spark orders strings by UTF-8 bytes: U+FFFD sorts before U+1F600, unlike String.compareTo
+    val labels = Seq(("\uD83D\uDE00", "x", 1.0), ("\uFFFD", "y", 2.0), ("z", "x", 3.0)).toDF("t", "a", "m")
+    for (df <- Seq(ints, months, dates, labels)) {
+      val expected = df.select(col("t")).distinct().orderBy(col("t")).collect().map(_.get(0).toString).toVector
+      assert(ExplanationCube.build(df, "t", Seq("a"), "m").times == expected)
+    }
+  }
+
+  test("a null time value is an IllegalArgumentException naming the time column") {
+    val schema = StructType(Seq(
+      StructField("day", IntegerType), StructField("a", StringType), StructField("m", DoubleType)))
+    val df = spark.createDataFrame(
+      java.util.Arrays.asList(Row(0, "x", 1.0), Row(null, "y", 2.0), Row(1, "y", 3.0)), schema)
+    val e = intercept[IllegalArgumentException](ExplanationCube.build(df, "day", Seq("a"), "m"))
+    assert(e.getMessage.contains("'day'"))
+  }
+
+  test("null explain-by values count as a missing attribute, as in the driver cube") {
+    val attrs = Seq("a", "b", "c")
+    val recs = recordsWithNullB
+    val df = SynthData.explainRelation(spark, attrs, recs)
+    assert(df.where(col("b").isNull).count() > 0)
+    for (maxOrder <- Seq(2, 3)) {
+      val sparkCube = ExplanationCube.build(df, "t", attrs, "m", maxOrder)
+      val coreCube = ExplCube.fromRecords(attrs, (0 until 12).map(_.toString), recs, maxOrder)
+      assert(sparkCube.expls.toSet == coreCube.expls.toSet, s"maxOrder=$maxOrder")
+      assert(sparkCube.epsilon == coreCube.epsilon)
+      for (e <- coreCube.expls) {
+        val a = sparkCube.series(sparkCube.idOf(e))
+        val b = coreCube.series(coreCube.idOf(e))
+        assert(a.zip(b).forall { case (x, y) => math.abs(x - y) < 1e-6 }, s"series of $e")
+      }
+      assert(sparkCube.total.zip(coreCube.total).forall { case (x, y) => math.abs(x - y) < 1e-6 })
+    }
   }
 }
