@@ -108,18 +108,6 @@ object SynthData {
     explainRelation(spark, Seq("state"), sim.records(), rowsPerRecord)
   }
 
-  /** S&P 500 relation (category, subcategory, stock, t, m=price*share). */
-  def sp500(spark: SparkSession, rowsPerRecord: Int = 1, seed: Long = 7): DataFrame = {
-    val sim = repro.synth.RealWorldSim.sp500(seed)
-    explainRelation(spark, Seq("category", "subcategory", "stock"), sim.records(), rowsPerRecord)
-  }
-
-  /** Iowa liquor relation (BV, P, CN, VN, t, m=bottles sold). */
-  def liquor(spark: SparkSession, rowsPerRecord: Int = 1, seed: Long = 11): DataFrame = {
-    val sim = repro.synth.RealWorldSim.liquor(seed)
-    explainRelation(spark, Seq("BV", "P", "CN", "VN"), sim.records(), rowsPerRecord)
-  }
-
   /** §4.2.1 synthetic relation (category, t, m) for one generated dataset. */
   def synthetic(spark: SparkSession, ds: repro.synth.SyntheticGen.Dataset, rowsPerRecord: Int = 1): DataFrame =
     explainRelation(spark, Seq("category"), repro.synth.SyntheticGen.records(ds), rowsPerRecord)

@@ -12,10 +12,12 @@ package repro.core
   * drill-down dimension choice and the quota split are optimized by dynamic
   * programming to maximize Σ γ(E) under |selections| ≤ m.
   *
-  * `solve` memoizes the per-context score vector Best_ctx[0..m]; the memo is
-  * reused across segments via version stamps, so one instance amortizes its
-  * allocations over the O(n²) segments of the pipeline. Instances are NOT
-  * thread-safe — create one per thread/task.
+  * `solve` walks the cube's int-array drill-down index
+  * ([[ExplCube.DrillDown]]) and memoizes the per-context score vector
+  * Best_ctx[0..m]; the memo is reused across segments and O1's guesses via
+  * version stamps, so one instance amortizes its allocations over the O(n²)
+  * segments of the pipeline. Instances are NOT thread-safe — create one per
+  * thread/task.
   *
   * @param cube     explanation cube with γ/τ lookups and drill-down adjacency
   * @param m        explanation quota (paper default 3)
@@ -25,34 +27,40 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   require(m >= 1, "m must be positive")
 
   private val eps = cube.epsilon
+  private val dd = cube.drillDown
+  private val all = Array.fill(eps)(true)
+  private val zeros = new Array[Double](m + 1)
   // memo(id + 1)(q) = best score of subtree rooted at context id with quota q;
   // id -1 is the virtual root (empty conjunction, not selectable).
   private val memo = Array.fill(eps + 1)(new Array[Double](m + 1))
   private val stamp = new Array[Int](eps + 1)
   private var version = 0
   private var seg: Segment = _
+  private var active: Array[Boolean] = all
+
+  private def drills(id: Int): Boolean = (if (id < 0) 0 else cube.expls(id).order) < maxOrder
 
   private def solve(id: Int): Array[Double] = {
     val slot = id + 1
     if (stamp(slot) == version) return memo(slot)
     val out = memo(slot)
     java.util.Arrays.fill(out, 0.0)
-    val order = if (id < 0) 0 else cube.expls(id).order
     // Option 1: select this slice — worth γ, closes the subtree.
     if (id >= 0) {
       val g = cube.gamma(id, seg)
-      var q = 1
-      while (q <= m) { if (g > out(q)) out(q) = g; q += 1 }
+      if (g > 0) java.util.Arrays.fill(out, 1, m + 1, g)
     }
     // Option 2: drill down on one remaining attribute; knapsack the quota
-    // over that attribute's children.
-    if (order < maxOrder) {
-      cube.children.get(id).foreach { byAttr =>
-        byAttr.foreach { case (_, childIds) =>
-          val cur = new Array[Double](m + 1)
-          var ci = 0
-          while (ci < childIds.length) {
-            val child = solve(childIds(ci))
+    // over that attribute's active children.
+    if (drills(id)) {
+      var g = dd.groupStart(slot)
+      while (g < dd.groupStart(slot + 1)) {
+        val cur = new Array[Double](m + 1)
+        var c = dd.childStart(g)
+        while (c < dd.childStart(g + 1)) {
+          val childId = dd.childIds(c)
+          if (active(childId)) {
+            val child = solve(childId)
             var q = m
             while (q >= 1) {
               var w = 1
@@ -65,11 +73,12 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
               cur(q) = best
               q -= 1
             }
-            ci += 1
           }
-          var q = 1
-          while (q <= m) { if (cur(q) > out(q)) out(q) = cur(q); q += 1 }
+          c += 1
         }
+        var q = 1
+        while (q <= m) { if (cur(q) > out(q)) out(q) = cur(q); q += 1 }
+        g += 1
       }
     }
     // At-most semantics: scores are nondecreasing in q.
@@ -88,15 +97,20 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
     if (target <= 0.0) return
     if (solve(id)(q - 1) == target) { backtrack(id, q - 1, out); return }
     if (id >= 0 && cube.gamma(id, seg) == target) { out += id; return }
-    val order = if (id < 0) 0 else cube.expls(id).order
-    if (order < maxOrder) {
-      for (byAttr <- cube.children.get(id); (_, childIds) <- byAttr) {
-        // Recompute this attribute's knapsack with backtrack pointers.
-        val rows = Array.fill(childIds.length + 1)(new Array[Double](q + 1))
-        val take = Array.fill(childIds.length + 1)(new Array[Int](q + 1))
+    if (drills(id)) {
+      val slot = id + 1
+      var g = dd.groupStart(slot)
+      while (g < dd.groupStart(slot + 1)) {
+        // Recompute this attribute's knapsack with backtrack pointers; an
+        // inactive child scores zero, so it never takes quota.
+        val from = dd.childStart(g)
+        val kids = dd.childStart(g + 1) - from
+        val rows = Array.fill(kids + 1)(new Array[Double](q + 1))
+        val take = Array.fill(kids + 1)(new Array[Int](q + 1))
         var ci = 0
-        while (ci < childIds.length) {
-          val child = solve(childIds(ci))
+        while (ci < kids) {
+          val childId = dd.childIds(from + ci)
+          val child = if (active(childId)) solve(childId) else zeros
           var w = 0
           while (w <= q) {
             var best = rows(ci)(w); var bw = 0
@@ -111,15 +125,16 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
           }
           ci += 1
         }
-        if (rows(childIds.length)(q) == target) {
-          var w = q; ci = childIds.length
+        if (rows(kids)(q) == target) {
+          var w = q; ci = kids
           while (ci > 0) {
             val u = take(ci)(w)
-            if (u > 0) backtrack(childIds(ci - 1), u, out)
+            if (u > 0) backtrack(dd.childIds(from + ci - 1), u, out)
             w -= u; ci -= 1
           }
           return
         }
+        g += 1
       }
     }
     throw new IllegalStateException(s"backtrack failed at ctx=$id q=$q target=$target")
@@ -128,8 +143,17 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   /** Top-m non-overlapping explanations of `segment` as compact ids ranked by
     * γ descending, with the Best[0..m] score vector (Definition 3.5 / Eq. 12).
     */
-  def topIds(segment: Segment): TopIds = {
+  def topIds(segment: Segment): TopIds = topIds(segment, all)
+
+  /** [[topIds]] over only the explanations marked in `active` (O1's
+    * restricted input): the same answer as CA on the sub-cube of the marked
+    * ids. `active` must be closed under sub-conjunctions, as
+    * [[ExplCube.markWithAncestors]] leaves it.
+    */
+  def topIds(segment: Segment, active: Array[Boolean]): TopIds = {
+    require(active.length == eps, "mask must cover every explanation")
     seg = segment
+    this.active = active
     version += 1
     val best = solve(-1).clone()
     val sel = scala.collection.mutable.ArrayBuffer.empty[Int]

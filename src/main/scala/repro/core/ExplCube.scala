@@ -44,54 +44,53 @@ final class ExplCube(
   def tau(explId: Int, seg: Segment): Int =
     math.signum(series(explId)(seg.j) - series(explId)(seg.i)).toInt
 
-  /** Drill-down adjacency: children(parentId or -1 for root)(attr) = child
-    * explanation ids extending the parent with one predicate on `attr`.
-    * Only extensions present in the cube (i.e. with data) appear.
-    */
-  lazy val children: Map[Int, Map[String, Array[Int]]] = {
-    val buf = scala.collection.mutable.Map.empty[Int, scala.collection.mutable.Map[String, scala.collection.mutable.ArrayBuffer[Int]]]
-    for ((e, id) <- expls.zipWithIndex; p <- e.preds) {
+  /** The drill-down DAG as int arrays, built once per cube. */
+  lazy val drillDown: ExplCube.DrillDown = {
+    val attrPos = (attrs ++ expls.flatMap(_.attrs).distinct.sorted).distinct.zipWithIndex.toMap
+    // (context slot, attribute position, child id) of every in-cube
+    // one-predicate extension; slot 0 is the root, slot id + 1 is id.
+    val edges = (for ((e, id) <- expls.iterator.zipWithIndex; p <- e.preds.iterator) yield {
       val parent = e.without(p.attr)
-      val pid = if (parent.order == 0) -1 else index.getOrElse(parent, Int.MinValue)
-      if (pid != Int.MinValue) {
-        val byAttr = buf.getOrElseUpdate(pid, scala.collection.mutable.Map.empty)
-        byAttr.getOrElseUpdate(p.attr, new scala.collection.mutable.ArrayBuffer[Int]) += id
-      }
-    }
-    buf.iterator.map { case (pid, m) => pid -> m.iterator.map { case (a, b) => a -> b.toArray }.toMap }.toMap
+      (if (parent.order == 0) 0 else index.get(parent).fold(-1)(_ + 1), attrPos(p.attr), id)
+    }).filter(_._1 >= 0).toArray.sorted
+    val groups = edges.indices.filter(k =>
+      k == 0 || edges(k)._1 != edges(k - 1)._1 || edges(k)._2 != edges(k - 1)._2).toArray
+    val up = edges.collect { case (slot, _, id) if slot > 0 => (id, slot - 1) }.sorted
+    new ExplCube.DrillDown(
+      ExplCube.offsets(groups.map(edges(_)._1), epsilon + 1),
+      groups :+ edges.length,
+      edges.map(_._3),
+      ExplCube.offsets(up.map(_._1), epsilon),
+      up.map(_._2),
+    )
   }
+
+  /** Marks `id` and every in-cube sub-conjunction it drills down from (its
+    * parents, their parents, …). A mask marked only through this routine is
+    * closed under sub-conjunctions, so a marked id ends the walk.
+    */
+  def markWithAncestors(id: Int, mask: Array[Boolean]): Unit =
+    if (!mask(id)) {
+      mask(id) = true
+      var p = drillDown.parentStart(id)
+      while (p < drillDown.parentStart(id + 1)) { markWithAncestors(drillDown.parentIds(p), mask); p += 1 }
+    }
+
+  private def restrict(ids: Vector[Int]): ExplCube =
+    new ExplCube(attrs, times, total, ids.map(expls), ids.map(series).toArray)
 
   /** Support filter (§7.5.1): drop E when every point of its series is below
     * `ratio` of the overall series (absolute values). Returns a new cube.
+    * Survivors keep their sub-conjunctions so drill-down paths stay intact: a
+    * surviving order-3 explanation must remain reachable through its order-1/2
+    * ancestors even if those happen to be individually small (cannot occur for
+    * SUM of non-negatives, but can for signed measures).
     */
   def filtered(ratio: Double): ExplCube = {
-    val keep = expls.indices.filter { id =>
-      val s = series(id)
-      var t = 0
-      var significant = false
-      while (t < n && !significant) {
-        if (math.abs(s(t)) >= ratio * math.abs(total(t))) significant = true
-        t += 1
-      }
-      significant
-    }
-    // Keep closure under sub-conjunctions so drill-down paths stay intact:
-    // a surviving order-3 explanation must remain reachable through its
-    // order-1/2 ancestors even if those happen to be individually small
-    // (cannot occur for SUM of non-negatives, but can for signed measures).
-    val keepSet = scala.collection.mutable.Set[Int](keep: _*)
-    var changed = true
-    while (changed) {
-      changed = false
-      for (id <- keepSet.toVector; p <- expls(id).preds) {
-        val parent = expls(id).without(p.attr)
-        if (parent.order > 0) index.get(parent).foreach { pid =>
-          if (!keepSet.contains(pid)) { keepSet += pid; changed = true }
-        }
-      }
-    }
-    val ids = expls.indices.filter(keepSet.contains).toVector
-    new ExplCube(attrs, times, total, ids.map(expls), ids.map(series).toArray)
+    val keep = new Array[Boolean](epsilon)
+    for (id <- expls.indices if (0 until n).exists(t => math.abs(series(id)(t)) >= ratio * math.abs(total(t))))
+      markWithAncestors(id, keep)
+    restrict(expls.indices.filter(keep).toVector)
   }
 
   /** Deduplicate explanations whose series are identical (hierarchy
@@ -99,10 +98,8 @@ final class ExplCube(
     * `category=c & subcategory=x` cover the same records); keeps each
     * explanation that is its own [[canonicalExpl]], in id order.
     */
-  def dedupIdenticalSeries: ExplCube = {
-    val ids = expls.indices.filter(id => canonicalExpl(id) == expls(id)).toVector
-    new ExplCube(attrs, times, total, ids.map(expls), ids.map(series).toArray)
-  }
+  def dedupIdenticalSeries: ExplCube =
+    restrict(expls.indices.filter(id => canonicalExpl(id) == expls(id)).toVector)
 
   /** Canonical (minimal) equivalent of each explanation: when a hierarchy
     * functional dependency makes several conjunctions cover exactly the same
@@ -161,6 +158,25 @@ final class ExplCube(
 }
 
 object ExplCube {
+
+  /** The drill-down DAG in compressed rows. Slot s is context id + 1 (0 is
+    * the root, the empty conjunction). Its child groups g ∈ [groupStart(s),
+    * groupStart(s + 1)), one per extending attribute in `attrs` order, list
+    * the ids adding one predicate on that attribute, ascending:
+    * childIds(childStart(g) until childStart(g + 1)). The parents of id, its
+    * in-cube order ≥ 1 sub-conjunctions dropping one predicate, are
+    * parentIds(parentStart(id) until parentStart(id + 1)).
+    */
+  final class DrillDown(val groupStart: Array[Int], val childStart: Array[Int], val childIds: Array[Int],
+      val parentStart: Array[Int], val parentIds: Array[Int]) extends Serializable
+
+  /** Row offsets for ascending keys in [0, rows): row r is [out(r), out(r + 1)). */
+  private def offsets(sortedKeys: Array[Int], rows: Int): Array[Int] = {
+    val out = new Array[Int](rows + 1)
+    sortedKeys.foreach(k => out(k + 1) += 1)
+    for (r <- 0 until rows) out(r + 1) += out(r)
+    out
+  }
 
   /** Build a cube directly from per-explanation series (driver-side path used
     * by tests and the synthetic generators; the Spark path lives in

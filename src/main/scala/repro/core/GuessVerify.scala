@@ -25,8 +25,9 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
   /** Largest m̄ any segment needed (diagnostics). */
   var maxMBarUsed: Int = 0
 
-  private val fullCA = new CascadingAnalysts(cube, m, maxOrder)
+  private val ca = new CascadingAnalysts(cube, m, maxOrder)
   private val gammas = new Array[Double](eps)
+  private val active = new Array[Boolean](eps)
 
   /** Top-`k` explanation ids by γ, descending — bounded min-heap selection
     * so a segment costs O(ε log k), not a full ε log ε sort.
@@ -36,14 +37,13 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
     val hg = new Array[Double](cap) // heap of gammas (min-heap)
     val hi = new Array[Int](cap)
     var size = 0
+    def swap(a: Int, b: Int): Unit = {
+      val tg = hg(a); hg(a) = hg(b); hg(b) = tg
+      val ti = hi(a); hi(a) = hi(b); hi(b) = ti
+    }
     def siftUp(c0: Int): Unit = {
       var c = c0
-      while (c > 0 && hg((c - 1) / 2) > hg(c)) {
-        val p = (c - 1) / 2
-        val tg = hg(p); hg(p) = hg(c); hg(c) = tg
-        val ti = hi(p); hi(p) = hi(c); hi(c) = ti
-        c = p
-      }
+      while (c > 0 && hg((c - 1) / 2) > hg(c)) { swap(c, (c - 1) / 2); c = (c - 1) / 2 }
     }
     def siftDown(): Unit = {
       var c = 0
@@ -54,11 +54,7 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
         if (l < size && hg(l) < hg(s)) s = l
         if (r < size && hg(r) < hg(s)) s = r
         if (s == c) done = true
-        else {
-          val tg = hg(s); hg(s) = hg(c); hg(c) = tg
-          val ti = hi(s); hi(s) = hi(c); hi(c) = ti
-          c = s
-        }
+        else { swap(s, c); c = s }
       }
     }
     var id = 0
@@ -68,7 +64,7 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
       else if (g > hg(0)) { hg(0) = g; hi(0) = id; siftDown() }
       id += 1
     }
-    // extract ascending, reverse to descending
+    // extract ascending into the tail: γ descending
     val out = new Array[Int](size)
     var s = size
     while (s > 0) {
@@ -77,64 +73,51 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
       hg(0) = hg(s); hi(0) = hi(s); size = s
       siftDown()
     }
-    out.sortBy(i => -gammas(i)) // heap extraction already sorts; keep as safety for ties
+    out
   }
 
-  /** Restricted cube over `activeIds` ∪ their in-cube ancestors; returns the
-    * sub-cube plus the mapping from sub-cube ids back to original ids.
+  /** Top-m via guess-and-verify; equal (in score) to the vanilla CA. Each
+    * guess runs the one CA with only the top-m̄ ids by γ and their ancestors active.
     */
-  private def subCube(activeIds: Array[Int]): (ExplCube, Array[Int]) = {
-    val keep = scala.collection.mutable.SortedSet.empty[Int]
-    activeIds.foreach(keep += _)
-    for (id <- activeIds; anc <- cube.expls(id).ancestors if anc.order > 0)
-      if (cube.contains(anc)) keep += cube.idOf(anc)
-    val ids = keep.toArray
-    val sub = new ExplCube(cube.attrs, cube.times, cube.total,
-      ids.toVector.map(cube.expls), ids.map(cube.series))
-    (sub, ids)
-  }
-
-  // With few candidates the guess cannot pay for its per-segment set-up
-  // (sub-cube build + fresh memo); delegate to the shared memoized CA.
-  // An explicit m0 (tests) disables the short-circuit.
-  private val shortCircuit = m0 <= 0 && eps <= math.max(200, 4 * initialMBar)
-
-  /** Top-m via guess-and-verify; equal (in score) to the vanilla CA. */
   def topIds(seg: Segment): TopIds = {
-    if (shortCircuit) {
-      caRuns += 1
-      maxMBarUsed = math.max(maxMBarUsed, eps)
-      return fullCA.topIds(seg)
-    }
     var id = 0
     while (id < eps) { gammas(id) = cube.gamma(id, seg); id += 1 }
     var mBar = math.min(initialMBar, eps)
     while (true) {
+      caRuns += 1
       if (mBar >= eps) {
-        caRuns += 1
         maxMBarUsed = math.max(maxMBarUsed, eps)
-        return fullCA.topIds(seg)
+        return ca.topIds(seg)
       }
       val order = topByGamma(mBar + m) // m̄ actives + the certificate tail
-      val (sub, back) = subCube(order.take(mBar))
-      caRuns += 1
-      val res = new CascadingAnalysts(sub, m, maxOrder).topIds(seg)
-      // Eq. 12 certificate over the γ-sorted tail beyond rank m̄.
+      java.util.Arrays.fill(active, false)
+      var r = 0
+      while (r < mBar) { cube.markWithAncestors(order(r), active); r += 1 }
+      val res = ca.topIds(seg, active)
+      // Eq. 12 certificate over the γ-sorted tail beyond rank m̄. Both sides
+      // are sums of at most m γ values; the slack, relative to the bound,
+      // covers their rounding at any scale of the measure.
       var ok = true
       var tailSum = 0.0
       var mp = m - 1
       while (mp >= 0 && ok) {
         val tailRank = mBar + (m - 1 - mp)
         tailSum += (if (tailRank < order.length) gammas(order(tailRank)) else 0.0)
-        if (res.best(m) + 1e-9 < res.best(mp) + tailSum) ok = false
+        val bound = res.best(mp) + tailSum
+        if (res.best(m) + 4 * m * GuessVerify.Roundoff * bound < bound) ok = false
         mp -= 1
       }
       if (ok) {
         maxMBarUsed = math.max(maxMBarUsed, mBar)
-        return TopIds(res.ids.map(back), res.gammas, res.taus, res.best)
+        return res
       }
       mBar = math.min(mBar * 2, eps)
     }
     throw new IllegalStateException("unreachable")
   }
+}
+
+object GuessVerify {
+  /** Unit roundoff u = 2⁻⁵³ of a double. */
+  private val Roundoff = math.ulp(1.0) / 2
 }

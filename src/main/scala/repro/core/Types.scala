@@ -22,10 +22,6 @@ final case class Expl(preds: Vector[Pred]) {
   /** The sub-conjunction dropping the predicate on `attr`. */
   def without(attr: String): Expl = Expl(preds.filterNot(_.attr == attr))
 
-  /** All strict sub-conjunctions (used for drill-down ancestor closure). */
-  def ancestors: Seq[Expl] =
-    (0 until preds.size).flatMap(k => preds.combinations(k).map(ps => Expl(ps.toVector)))
-
   /** Two explanations are non-overlapping iff they disagree on the value of
     * some shared attribute — then no record can satisfy both (Section 3.1).
     */
@@ -59,9 +55,7 @@ final case class RankedExpl(expl: Expl, gamma: Double, tau: Int)
   * (Definition 3.5); `best(q)` is the optimal at-most-q total score, a side
   * product of the CA dynamic program needed by the Eq. 12 certificate.
   */
-final case class TopExpl(ranked: Vector[RankedExpl], best: Vector[Double]) {
-  def totalScore: Double = ranked.iterator.map(_.gamma).sum
-}
+final case class TopExpl(ranked: Vector[RankedExpl], best: Vector[Double])
 
 /** Compact, id-based top-m list used on the hot path (Ndcg / K-Segmentation):
   * `ids` are cube explanation ids ranked by γ descending; `gammas`/`taus` are

@@ -116,11 +116,17 @@ object Benches {
   def fig6(datasetsPerSnr: Int, snrs: Seq[Double], samples: Int, n: Int = 100): Seq[MetricRankRow] = {
     val corpus = SyntheticGen.corpus(datasetsPerSnr, snrs, n)
     val rows = corpus.zipWithIndex.map { case ((snr, ds), di) =>
+      // One dataset's top lists, solved on first use and shared by all 8
+      // metrics, indexed i·n + j.
+      val ca = new CascadingAnalysts(ds.cube, 3)
+      val tops = new Array[TopIds](ds.cube.n * ds.cube.n)
+      val top: Segment => TopIds = { s =>
+        val c = s.i * ds.cube.n + s.j
+        if (tops(c) == null) tops(c) = ca.topIds(s)
+        tops(c)
+      }
       val gtRanks = VarianceMetric.all.map { metric =>
-        val ca = new CascadingAnalysts(ds.cube, 3)
-        val cache = scala.collection.mutable.Map.empty[(Int, Int), TopIds]
-        val costs = new SegmentCosts(ds.cube, metric,
-          s => cache.getOrElseUpdate((s.i, s.j), ca.topIds(s)))
+        val costs = new SegmentCosts(ds.cube, metric, top)
         metric.name -> Metrics.groundTruthRank(costs, ds.truthScheme(ds.cube.n), samples,
           seed = (snr * 1000).toLong + 7919L * di).toDouble
       }

@@ -67,21 +67,6 @@ object Metrics {
     better + 1
   }
 
-  /** Ranks 1..values.size ascending with average-rank tie handling. */
-  def ranks(values: Seq[Double]): Seq[Double] = {
-    val sorted = values.zipWithIndex.sortBy(_._1)
-    val out = new Array[Double](values.size)
-    var i = 0
-    while (i < sorted.size) {
-      var j = i
-      while (j + 1 < sorted.size && sorted(j + 1)._1 == sorted(i)._1) j += 1
-      val avg = (i + j + 2) / 2.0 // average of 1-based ranks i+1..j+1
-      for (t <- i to j) out(sorted(t)._2) = avg
-      i = j + 1
-    }
-    out.toSeq
-  }
-
   /** Ranks with min-rank (competition) tie handling: tied values share the
     * best rank of the block — so "all metrics rank 1st" when all tie, as the
     * paper reports for SNR = 50 (§4.2.2).

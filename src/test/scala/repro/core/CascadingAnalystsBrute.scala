@@ -15,7 +15,7 @@ object CascadingAnalystsBrute {
       }
       val order = if (id < 0) 0 else cube.expls(id).order
       if (order < maxOrder) {
-        for (byAttr <- cube.children.get(id).toSeq; (_, childIds) <- byAttr) {
+        for (childIds <- childGroups(cube, id)) {
           // enumerate all quota assignments to children
           def assign(idx: Int, left: Int): (Double, Set[Expl]) =
             if (idx == childIds.length || left == 0) (0.0, Set.empty)
@@ -37,5 +37,14 @@ object CascadingAnalystsBrute {
       best
     }
     go(-1, m)
+  }
+
+  /** The child groups of context `id` (-1 for the root) in the cube's
+    * drill-down index, one array of child ids per extending attribute.
+    */
+  def childGroups(cube: ExplCube, id: Int): Seq[Array[Int]] = {
+    val dd = cube.drillDown
+    (dd.groupStart(id + 1) until dd.groupStart(id + 2))
+      .map(g => dd.childIds.slice(dd.childStart(g), dd.childStart(g + 1)))
   }
 }

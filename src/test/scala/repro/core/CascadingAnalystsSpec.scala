@@ -155,6 +155,38 @@ class CascadingAnalystsSpec extends AnyFunSuite {
     }
   }
 
+  test("masked CA equals CA on the sub-cube of the active ids") {
+    val rnd = new Random(43)
+    for (trial <- 1 to 20) {
+      val cube = randomCube(rnd, attrs = 3, vals = 3, n = 4)
+      val ca = new CascadingAnalysts(cube, 3) // one solver across masks: the memo is reused
+      for (_ <- 1 to 5) {
+        // random ids, closed under sub-conjunctions through Expl.without
+        var keep = cube.expls.filter(_ => rnd.nextDouble() < 0.2).toSet
+        var grown = true
+        while (grown) {
+          val more = keep ++ keep.flatMap(e => e.preds.map(p => e.without(p.attr))).filter(cube.contains)
+          grown = more.size > keep.size
+          keep = more
+        }
+        val ids = cube.expls.indices.filter(id => keep(cube.expls(id))).toVector
+        val sub = new ExplCube(cube.attrs, cube.times, cube.total, ids.map(cube.expls), ids.map(cube.series).toArray)
+        val subCa = new CascadingAnalysts(sub, 3)
+        val active = cube.expls.indices.map(id => keep(cube.expls(id))).toArray
+        for (i <- 0 until cube.n; j <- i + 1 until cube.n) {
+          val seg = Segment(i, j)
+          val got = ca.topIds(seg, active)
+          val want = subCa.topIds(seg)
+          assert(got.ids.toSeq == want.ids.toSeq.map(ids), s"trial $trial [$i,$j]")
+          assert(got.gammas.toSeq == want.gammas.toSeq && got.taus.toSeq == want.taus.toSeq)
+          assert(got.best.toSeq == want.best.toSeq)
+        }
+      }
+      assert(ca.topIds(Segment(0, 1)).best.toSeq == new CascadingAnalysts(cube, 3).topIds(Segment(0, 1)).best.toSeq,
+        "an unmasked call after masked ones sees every explanation")
+    }
+  }
+
   test("a flat segment yields zero scores and an empty or zero-γ selection") {
     val cube = ExplCube.fromSeries(Seq("a"), Seq("0", "1"), Array(5.0, 5.0),
       Seq(Expl.of("a" -> "x") -> Array(2.0, 2.0), Expl.of("a" -> "y") -> Array(3.0, 3.0)))

@@ -57,11 +57,47 @@ class ExplCubeSpec extends AnyFunSuite {
 
   test("children adjacency links each conjunction to its one-attribute extensions") {
     val c = cube
-    val rootKids = c.children(-1)
-    assert(rootKids("a").map(c.expls).map(_.toString).sorted.toSeq == Seq("a=x", "a=y"))
-    assert(rootKids("b").map(c.expls).map(_.toString).sorted.toSeq == Seq("b=1", "b=2"))
+    def kids(id: Int) = CascadingAnalystsBrute.childGroups(c, id).map(_.map(c.expls).map(_.toString).toSeq)
+    assert(kids(-1) == Seq(Seq("a=x", "a=y"), Seq("b=1", "b=2")))
     val ax = c.idOf(Expl.of("a" -> "x"))
-    assert(c.children(ax)("b").map(c.expls).map(_.toString).sorted.toSeq == Seq("a=x & b=1", "a=x & b=2"))
+    assert(kids(ax) == Seq(Seq("a=x & b=1", "a=x & b=2")))
+  }
+
+  test("drill-down index and parent arrays agree with the Expl definitions") {
+    val rnd = new Random(3)
+    val attrs = Seq("c", "a", "b") // not alphabetical: groups follow `attrs`
+    for (trial <- 1 to 10) {
+      val recs = for (_ <- 1 to 12; t <- 0 until 2) yield {
+        val vals = attrs.filter(_ => rnd.nextDouble() < 0.8).map(a => a -> s"v${rnd.nextInt(3)}").toMap
+        (vals, t, rnd.nextDouble() * 10)
+      }
+      val c = ExplCube.fromRecords(attrs, Seq("0", "1"), recs)
+      val dd = c.drillDown
+      for (ctx <- -1 until c.epsilon) {
+        val ctxExpl = if (ctx < 0) Expl.root else c.expls(ctx)
+        val groups = CascadingAnalystsBrute.childGroups(c, ctx)
+        val groupAttrs = groups.map { g =>
+          assert(g.nonEmpty && g.toSeq == g.toSeq.sorted, s"trial $trial ctx $ctxExpl")
+          val added = g.map(k => (c.expls(k).attrs -- ctxExpl.attrs).toSeq).distinct
+          assert(added.length == 1 && added.head.size == 1, s"one attribute per group under $ctxExpl")
+          for (k <- g) assert(c.expls(k).without(added.head.head) == ctxExpl)
+          attrs.indexOf(added.head.head)
+        }
+        assert(groupAttrs == groupAttrs.sorted.distinct, s"groups in attrs order under $ctxExpl")
+        val want = c.expls.indices.filter(k => c.expls(k).preds.exists(p => c.expls(k).without(p.attr) == ctxExpl))
+        assert(groups.flatten.sorted == want, s"children of $ctxExpl")
+      }
+      for (id <- c.expls.indices) {
+        val e = c.expls(id)
+        val parents = dd.parentIds.slice(dd.parentStart(id), dd.parentStart(id + 1)).toSeq
+        val want = e.preds.map(p => e.without(p.attr)).filter(p => p.order > 0 && c.contains(p)).map(c.idOf).sorted
+        assert(parents == want, s"parents of $e")
+        val mask = new Array[Boolean](c.epsilon)
+        c.markWithAncestors(id, mask)
+        val subs = (1 to e.order).flatMap(k => e.preds.combinations(k).map(ps => Expl(ps))).filter(c.contains)
+        assert(c.expls.indices.filter(mask) == subs.map(c.idOf).sorted, s"closure of $e")
+      }
+    }
   }
 
   test("fromRecords honors maxOrder") {

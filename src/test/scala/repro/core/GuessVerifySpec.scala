@@ -30,6 +30,23 @@ class GuessVerifySpec extends AnyFunSuite {
     }
   }
 
+  test("the Eq. 12 certificate is scale-free: O1 matches CA at measure scales 1e-12, 1 and 1e12") {
+    for (scale <- Seq(1e-12, 1.0, 1e12)) {
+      val rnd = new Random(47)
+      for (trial <- 1 to 10) {
+        val c = randomCube(rnd)
+        val cube = new ExplCube(c.attrs, c.times, c.total.map(_ * scale), c.expls, c.series.map(_.map(_ * scale)))
+        val gv = new GuessVerify(cube, 3, m0 = 1)
+        val ca = new CascadingAnalysts(cube, 3)
+        for (i <- 0 until cube.n; j <- i + 1 until cube.n) {
+          val got = gv.topIds(Segment(i, j)).gammas.sum
+          val want = ca.topIds(Segment(i, j)).gammas.sum
+          assert(math.abs(got - want) <= 1e-9 * want, s"scale $scale trial $trial [$i,$j]: $got vs $want")
+        }
+      }
+    }
+  }
+
   test("returned ids reference the original cube and carry correct γ/τ") {
     val rnd = new Random(17)
     val cube = randomCube(rnd)

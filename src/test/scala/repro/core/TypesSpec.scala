@@ -25,15 +25,6 @@ class TypesSpec extends AnyFunSuite {
     assert(e.without("c") == e)
   }
 
-  test("ancestors of an order-3 explanation are its 7 strict sub-conjunctions") {
-    val e = Expl.of("a" -> "1", "b" -> "2", "c" -> "3")
-    val anc = e.ancestors
-    assert(anc.size == 7)
-    assert(anc.contains(Expl.root))
-    assert(anc.contains(Expl.of("a" -> "1", "c" -> "3")))
-    assert(!anc.contains(e))
-  }
-
   test("non-overlap requires disagreement on a shared attribute") {
     val a1 = Expl.of("a" -> "1")
     val a2 = Expl.of("a" -> "2")

@@ -70,10 +70,4 @@ class MetricsSpec extends AnyFunSuite {
     }
     assert(rankAt(50) <= rankAt(15) + 5)
   }
-
-  test("ranks assigns 1..n ascending with ties averaged") {
-    assert(Metrics.ranks(Seq(3.0, 1.0, 2.0)) == Seq(3.0, 1.0, 2.0))
-    assert(Metrics.ranks(Seq(1.0, 1.0, 2.0)) == Seq(1.5, 1.5, 3.0))
-    assert(Metrics.ranks(Seq(5.0)) == Seq(1.0))
-  }
 }
