@@ -15,9 +15,9 @@ package repro.core
   * `solve` walks the cube's int-array drill-down index
   * ([[ExplCube.DrillDown]]) and memoizes the per-context score vector
   * Best_ctx[0..m]; the memo is reused across segments and O1's guesses via
-  * version stamps, so one instance amortizes its allocations over the O(n²)
-  * segments of the pipeline. Instances are NOT thread-safe — create one per
-  * thread/task.
+  * version stamps, and the knapsack tables of `solve` and `backtrack` are
+  * preallocated once per drill-down depth, so a segment allocates only its
+  * answer. Instances are NOT thread-safe — create one per thread/task.
   *
   * @param cube     explanation cube with γ/τ lookups and drill-down adjacency
   * @param m        explanation quota (paper default 3)
@@ -37,8 +37,23 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   private var version = 0
   private var seg: Segment = _
   private var active: Array[Boolean] = all
+  private val nameRank = cube.nameRank
+  private val selected = new Array[Int](m)
+  private var nSelected = 0
 
-  private def drills(id: Int): Boolean = (if (id < 0) 0 else cube.expls(id).order) < maxOrder
+  // A context's depth is its order (the root's is 0); only depths below β̄
+  // drill down. The knapsack tables of a context stay live while its
+  // children (one depth deeper) are solved or backtracked, so each depth
+  // has its own: `cur` (m + 1) for solve; `rows` and `take`, (kids + 1)
+  // rows of stride m + 1 for the widest child group, for backtrack.
+  private val depth = Array.tabulate(eps + 1)(slot => if (slot == 0) 0 else cube.expls(slot - 1).order)
+  private val widest = (0 until dd.childStart.length - 1).iterator
+    .map(g => dd.childStart(g + 1) - dd.childStart(g)).foldLeft(0)(math.max)
+  private val cur = Array.fill(maxOrder + 1)(new Array[Double](m + 1))
+  private val rows = Array.fill(maxOrder + 1)(new Array[Double]((widest + 1) * (m + 1)))
+  private val take = Array.fill(maxOrder + 1)(new Array[Int]((widest + 1) * (m + 1)))
+
+  private def drills(slot: Int): Boolean = depth(slot) < maxOrder
 
   private def solve(id: Int): Array[Double] = {
     val slot = id + 1
@@ -52,10 +67,11 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
     }
     // Option 2: drill down on one remaining attribute; knapsack the quota
     // over that attribute's active children.
-    if (drills(id)) {
+    if (drills(slot)) {
+      val cur = this.cur(depth(slot))
       var g = dd.groupStart(slot)
       while (g < dd.groupStart(slot + 1)) {
-        val cur = new Array[Double](m + 1)
+        java.util.Arrays.fill(cur, 0.0)
         var c = dd.childStart(g)
         while (c < dd.childStart(g + 1)) {
           val childId = dd.childIds(c)
@@ -91,45 +107,49 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   /** Re-walks the solved DP making argmax decisions to recover the selected
     * explanation ids (scores are already memoized, so this is cheap).
     */
-  private def backtrack(id: Int, q: Int, out: scala.collection.mutable.ArrayBuffer[Int]): Unit = {
+  private def backtrack(id: Int, q: Int): Unit = {
     if (q == 0) return
     val target = solve(id)(q)
     if (target <= 0.0) return
-    if (solve(id)(q - 1) == target) { backtrack(id, q - 1, out); return }
-    if (id >= 0 && cube.gamma(id, seg) == target) { out += id; return }
-    if (drills(id)) {
-      val slot = id + 1
+    if (solve(id)(q - 1) == target) { backtrack(id, q - 1); return }
+    if (id >= 0 && cube.gamma(id, seg) == target) { selected(nSelected) = id; nSelected += 1; return }
+    val slot = id + 1
+    if (drills(slot)) {
+      // rows(ci)(w) and take(ci)(w) at ci·(m + 1) + w.
+      val rows = this.rows(depth(slot))
+      val take = this.take(depth(slot))
+      val stride = m + 1
       var g = dd.groupStart(slot)
       while (g < dd.groupStart(slot + 1)) {
         // Recompute this attribute's knapsack with backtrack pointers; an
         // inactive child scores zero, so it never takes quota.
         val from = dd.childStart(g)
         val kids = dd.childStart(g + 1) - from
-        val rows = Array.fill(kids + 1)(new Array[Double](q + 1))
-        val take = Array.fill(kids + 1)(new Array[Int](q + 1))
+        java.util.Arrays.fill(rows, 0, q + 1, 0.0)
         var ci = 0
         while (ci < kids) {
           val childId = dd.childIds(from + ci)
           val child = if (active(childId)) solve(childId) else zeros
+          val row = ci * stride
           var w = 0
           while (w <= q) {
-            var best = rows(ci)(w); var bw = 0
+            var best = rows(row + w); var bw = 0
             var u = 1
             while (u <= w) {
-              val v = rows(ci)(w - u) + child(u)
+              val v = rows(row + w - u) + child(u)
               if (v > best) { best = v; bw = u }
               u += 1
             }
-            rows(ci + 1)(w) = best; take(ci + 1)(w) = bw
+            rows(row + stride + w) = best; take(row + stride + w) = bw
             w += 1
           }
           ci += 1
         }
-        if (rows(kids)(q) == target) {
+        if (rows(kids * stride + q) == target) {
           var w = q; ci = kids
           while (ci > 0) {
-            val u = take(ci)(w)
-            if (u > 0) backtrack(dd.childIds(from + ci - 1), u, out)
+            val u = take(ci * stride + w)
+            if (u > 0) backtrack(dd.childIds(from + ci - 1), u)
             w -= u; ci -= 1
           }
           return
@@ -138,6 +158,14 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
       }
     }
     throw new IllegalStateException(s"backtrack failed at ctx=$id q=$q target=$target")
+  }
+
+  /** The ranking order of [[topIds]]: γ descending, then name; the order
+    * `sortBy(id => (-γ, name))` gives, with names compared by rank.
+    */
+  private def ranksBefore(a: Int, b: Int): Boolean = {
+    val c = java.lang.Double.compare(-cube.gamma(a, seg), -cube.gamma(b, seg))
+    c < 0 || (c == 0 && nameRank(a) < nameRank(b))
   }
 
   /** Top-m non-overlapping explanations of `segment` as compact ids ranked by
@@ -156,9 +184,18 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
     this.active = active
     version += 1
     val best = solve(-1).clone()
-    val sel = scala.collection.mutable.ArrayBuffer.empty[Int]
-    backtrack(-1, m, sel)
-    val ranked = sel.toArray.sortBy(id => (-cube.gamma(id, segment), cube.expls(id).toString))
+    nSelected = 0
+    backtrack(-1, m)
+    // A stable insertion sort of the at most m selected ids.
+    val ranked = java.util.Arrays.copyOf(selected, nSelected)
+    var r = 1
+    while (r < ranked.length) {
+      val id = ranked(r)
+      var p = r
+      while (p > 0 && ranksBefore(id, ranked(p - 1))) { ranked(p) = ranked(p - 1); p -= 1 }
+      ranked(p) = id
+      r += 1
+    }
     TopIds(
       ranked,
       ranked.map(cube.gamma(_, segment)),

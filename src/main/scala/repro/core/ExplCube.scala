@@ -24,6 +24,8 @@ final class ExplCube(
 ) extends Serializable {
   require(series.length == expls.size, "expls/series misaligned")
   require(series.forall(_.length == total.length), "ragged series")
+  ExplCube.requireFinite(total, "the total series")
+  for (id <- series.indices) ExplCube.requireFinite(series(id), s"the series of ${expls(id)}")
 
   /** Number of points n in the aggregated time series. */
   def n: Int = total.length
@@ -43,6 +45,19 @@ final class ExplCube(
   /** Change effect τ(E, [i,j]) (Definition 3.3): +1 increase, -1 decrease. */
   def tau(explId: Int, seg: Segment): Int =
     math.signum(series(explId)(seg.j) - series(explId)(seg.i)).toInt
+
+  /** Each explanation's rank among the names (`toString`) of the cube's
+    * explanations; equal names share a rank, so ranks compare as the names
+    * do. Built once per cube.
+    */
+  lazy val nameRank: Array[Int] = {
+    val names = expls.map(_.toString)
+    val byName = expls.indices.sortBy(names)
+    val rank = new Array[Int](epsilon)
+    for (k <- 1 until byName.size)
+      rank(byName(k)) = rank(byName(k - 1)) + (if (names(byName(k)) == names(byName(k - 1))) 0 else 1)
+    rank
+  }
 
   /** The drill-down DAG as int arrays, built once per cube. */
   lazy val drillDown: ExplCube.DrillDown = {
@@ -169,6 +184,14 @@ object ExplCube {
     */
   final class DrillDown(val groupStart: Array[Int], val childStart: Array[Int], val childIds: Array[Int],
       val parentStart: Array[Int], val parentIds: Array[Int]) extends Serializable
+
+  private def requireFinite(s: Array[Double], what: => String): Unit = {
+    var t = 0
+    while (t < s.length) {
+      require(java.lang.Double.isFinite(s(t)), s"$what is not finite at time index $t: ${s(t)}")
+      t += 1
+    }
+  }
 
   /** Row offsets for ascending keys in [0, rows): row r is [out(r), out(r + 1)). */
   private def offsets(sortedKeys: Array[Int], rows: Int): Array[Int] = {

@@ -6,8 +6,8 @@ package repro.core
   * Objects are the unit segments [p_x, p_x+1]; the centroid of a partition
   * [p_i, p_j] is the partition itself. Top-explanation lists are supplied by
   * `topFn` (full CA, guess-and-verify CA, …) and should be cached by the
-  * caller — this class memoizes costs in a dense n×n array, and the
-  * pairwise object distances the all-pair metrics share.
+  * caller — this class memoizes costs in a dense n×n array, each unit's
+  * self-DCG, and the pairwise object distances the all-pair metrics share.
   */
 final class SegmentCosts(
     val cube: ExplCube,
@@ -17,6 +17,11 @@ final class SegmentCosts(
   private val ndcg = new Ndcg(cube)
   private val n = cube.n
   private val nUnits = n - 1
+  // The two directions of Eq. 6: how well an object's list explains the
+  // centroid (all Eq. 6 metrics but dist2) and how well the centroid's list
+  // explains an object (all but dist1).
+  private val toCentroid = metric != VarianceMetric.Dist2 && metric != VarianceMetric.SDist2
+  private val toObject = metric != VarianceMetric.Dist1 && metric != VarianceMetric.SDist1
 
   // The unit segments (objects), built once: a fresh Segment per object
   // read in weightedVar's loop allocates unless the JIT elides it.
@@ -24,14 +29,19 @@ final class SegmentCosts(
 
   private def unitTop(x: Int): TopIds = topFn(units(x))
 
+  // Each unit's self-DCG, the IDCG of Eq. 5 with the unit as target; built
+  // on first use, once the unit lists can be read.
+  private lazy val unitIdcg: Array[Double] = Array.tabulate(nUnits)(x => ndcg.dcgSelf(units(x), unitTop(x)))
+
   // Pairwise object-object distances, needed only by the allpair metrics.
   private lazy val pairDist: Array[Array[Double]] = {
+    val idcg = unitIdcg
     val d = Array.fill(nUnits)(new Array[Double](nUnits))
     var x = 0
     while (x < nUnits) {
       var y = x + 1
       while (y < nUnits) {
-        val v = ndcg.dist(units(x), unitTop(x), units(y), unitTop(y))
+        val v = 1.0 - (ndcg.ndcgGiven(idcg(x), units(x), unitTop(y)) + ndcg.ndcgGiven(idcg(y), units(y), unitTop(x))) / 2.0
         d(x)(y) = v; d(y)(x) = v
         y += 1
       }
@@ -62,19 +72,19 @@ final class SegmentCosts(
           len * (s / (len * (len - 1) / 2.0))
         }
       case _ =>
+        // Eq. 6 (tse) or one of its directions (dist1, dist2) between the
+        // centroid and each object, each IDCG computed once.
         val cseg = Segment(i, j)
         val ctop = topFn(cseg)
+        val cIdcg = if (toCentroid) ndcg.dcgSelf(cseg, ctop) else 0.0
+        val oIdcg = if (toObject) unitIdcg else null
         var s = 0.0
         var x = i
         while (x < j) {
-          val oseg = units(x)
-          val otop = topFn(oseg)
-          val d = metric match {
-            case VarianceMetric.Tse | VarianceMetric.STse     => ndcg.dist(cseg, ctop, oseg, otop)
-            case VarianceMetric.Dist1 | VarianceMetric.SDist1 => ndcg.dist1(cseg, ctop, otop)
-            case VarianceMetric.Dist2 | VarianceMetric.SDist2 => ndcg.dist2(oseg, otop, ctop)
-            case _                                            => throw new MatchError(metric)
-          }
+          val d =
+            if (!toObject) 1.0 - ndcg.ndcgGiven(cIdcg, cseg, unitTop(x))
+            else if (!toCentroid) 1.0 - ndcg.ndcgGiven(oIdcg(x), units(x), ctop)
+            else 1.0 - (ndcg.ndcgGiven(cIdcg, cseg, unitTop(x)) + ndcg.ndcgGiven(oIdcg(x), units(x), ctop)) / 2.0
           s += sq(d)
           x += 1
         }
@@ -91,6 +101,29 @@ final class SegmentCosts(
     var v = costMemo(c)
     if (v.isNaN) { v = weightedVar(i, j); costMemo(c) = v }
     v
+  }
+
+  /** Computes the memo cells of `segments` not yet computed, in parallel
+    * blocks on the JVM's common ForkJoinPool, so that [[cost]] then only
+    * reads them. `topFn` must be safe to call from several threads, as a
+    * lookup in an already filled table is; [[cost]] alone calls it from the
+    * caller's thread only.
+    */
+  def fill(segments: Iterator[Segment]): Unit = {
+    val todo = Array.newBuilder[Int]
+    for (s <- segments) {
+      val c = s.i * n + s.j
+      if (costMemo(c).isNaN) todo += c
+    }
+    val cells = todo.result()
+    Blocks.run(cells.length) { (from, until) =>
+      var k = from
+      while (k < until) {
+        val c = cells(k)
+        costMemo(c) = weightedVar(c / n, c % n)
+        k += 1
+      }
+    }
   }
 
   /** Objective Σ |P_k|·var(P_k) of a full segmentation scheme (Problem 1). */

@@ -42,14 +42,16 @@ final class Ndcg(cube: ExplCube) {
   }
 
   /** DCG of `other`'s ranked list evaluated against `target` with rectified
-    * relevance γ̄ (Eq. 3): zero when the effect flips between segments.
+    * relevance γ̄ (Eq. 3): zero when the effect flips between segments. The
+    * change d = s(j) − s(i) is read once per id; τ = sign(d), γ = |d|.
     */
   def dcgCross(target: Segment, other: TopIds): Double = {
     var s = 0.0
     var r = 0
     while (r < other.size) {
-      val id = other.ids(r)
-      if (cube.tau(id, target) == other.taus(r)) s += cube.gamma(id, target) * invLog(r)
+      val series = cube.series(other.ids(r))
+      val d = series(target.j) - series(target.i)
+      if (math.signum(d).toInt == other.taus(r)) s += math.abs(d) * invLog(r)
       r += 1
     }
     s
@@ -58,11 +60,13 @@ final class Ndcg(cube: ExplCube) {
   /** NDCG(target, E*(other)) — how well `other`'s explanations explain
     * `target` (Eq. 5). A flat target (IDCG = 0 forces DCG = 0) scores 1.
     */
-  def ndcg(target: Segment, targetTop: TopIds, other: TopIds): Double = {
-    val idcg = dcgSelf(target, targetTop)
+  def ndcg(target: Segment, targetTop: TopIds, other: TopIds): Double =
+    ndcgGiven(dcgSelf(target, targetTop), target, other)
+
+  /** [[ndcg]] with the target's IDCG, `dcgSelf(target, targetTop)`, given. */
+  def ndcgGiven(idcg: Double, target: Segment, other: TopIds): Double =
     if (idcg <= 0.0) 1.0
     else math.min(1.0, dcgCross(target, other) / idcg)
-  }
 
   /** Symmetric explanation distance dist(P_i, P_j) (Eq. 6). */
   def dist(si: Segment, ti: TopIds, sj: Segment, tj: TopIds): Double =

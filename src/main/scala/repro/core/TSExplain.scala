@@ -1,6 +1,12 @@
 package repro.core
 
-/** Pipeline configuration (paper defaults: m = 3, β̄ = 3, K ≤ 20, tse). */
+import java.util.concurrent.ForkJoinPool
+import java.util.stream.IntStream
+
+/** Pipeline configuration (paper defaults: m = 3, β̄ = 3, K ≤ 20, tse).
+  * Values no run can use are rejected here, with an
+  * `IllegalArgumentException` naming the field.
+  */
 final case class TSConfig(
     m: Int = 3,
     maxOrder: Int = 3,
@@ -12,6 +18,13 @@ final case class TSConfig(
     sketch: Boolean = false,
     smoothWindow: Option[Int] = None,
 ) {
+  require(m >= 1, s"m must be at least 1, got $m")
+  require(kMax >= 1, s"kMax must be at least 1, got $kMax")
+  require(fixedK.forall(_ >= 1), s"fixedK must be at least 1, got ${fixedK.get}")
+  require(smoothWindow.forall(_ >= 1), s"smoothWindow must be at least 1, got ${smoothWindow.get}")
+  require(filterRatio.forall(r => java.lang.Double.isFinite(r) && r >= 0),
+    s"filterRatio must be finite and non-negative, got ${filterRatio.get}")
+
   def withAllOpts: TSConfig = copy(guessVerify = true, sketch = true)
 }
 
@@ -37,8 +50,45 @@ object TopLists {
     if (cfg.guessVerify) new GuessVerify(cube, cfg.m, cfg.maxOrder).topIds _
     else new CascadingAnalysts(cube, cfg.m, cfg.maxOrder).topIds _
 
-  /** One solver on the driver, run over the batch in order. */
-  val Driver: TopLists = (cube, cfg, segments) => segments.iterator.map(solver(cube, cfg)).toArray
+  /** The driver's source: the batch is split into blocks solved on the
+    * JVM's common ForkJoinPool ([[Blocks]]), one [[solver]] per block since
+    * CA and O1 instances are not thread-safe.
+    */
+  val Driver: TopLists = (cube, cfg, segments) => {
+    val segs = segments.toIndexedSeq
+    val out = new Array[TopIds](segs.size)
+    Blocks.run(segs.size) { (from, until) =>
+      val solve = solver(cube, cfg)
+      var k = from
+      while (k < until) { out(k) = solve(segs(k)); k += 1 }
+    }
+    out
+  }
+}
+
+/** Block-parallel loops for the driver's two O(n²) stages, top lists and
+  * costs. They run on the JVM's common ForkJoinPool, whose size is fixed, so
+  * explain calls nested inside Spark tasks share it rather than add threads.
+  */
+private[core] object Blocks {
+
+  /** Fewest items per block. */
+  val MinSize = 64
+
+  /** Calls `body(from, until)` on consecutive blocks that together cover
+    * [0, size). Several blocks run on the common pool and the calling thread
+    * helps; a range too small for two blocks runs on the calling thread
+    * alone. An exception thrown in a block reaches the caller with its type
+    * kept.
+    */
+  def run(size: Int)(body: (Int, Int) => Unit): Unit = {
+    val blocks = math.min(size / MinSize, 4 * (ForkJoinPool.getCommonPoolParallelism + 1))
+    if (blocks >= 2)
+      IntStream.range(0, blocks).parallel().forEach { b =>
+        body((b.toLong * size / blocks).toInt, ((b + 1).toLong * size / blocks).toInt)
+      }
+    else if (size > 0) body(0, size)
+  }
 }
 
 /** The TSExplain pipeline (Figure 7): precompute (filter/smooth the cube) →
@@ -56,6 +106,7 @@ object TSExplain {
   )
 
   def explain(cube0: ExplCube, cfg: TSConfig, tops: TopLists = TopLists.Driver): Result = {
+    require(cube0.n >= 2, s"explain needs a series of at least 2 points, got n = ${cube0.n}")
     val t0 = System.nanoTime()
     val smoothed = cfg.smoothWindow.fold(cube0)(cube0.smoothed)
     val cube = cfg.filterRatio.fold(smoothed)(smoothed.filtered)
@@ -66,8 +117,8 @@ object TSExplain {
     // read are solved in one batch, so no segment is solved twice.
     val table = new Array[TopIds](n * n)
     val requested = new java.util.BitSet(n * n)
-    var fillNanos = 0L
-    def fill(segments: Iterator[Segment]): Unit = {
+    var topNanos = 0L
+    def solveTops(segments: Iterator[Segment]): Unit = {
       val batch = Vector.newBuilder[Segment]
       for (s <- segments) {
         val c = s.i * n + s.j
@@ -77,7 +128,7 @@ object TSExplain {
       if (todo.nonEmpty) {
         val s = System.nanoTime()
         val got = tops(cube, cfg, todo)
-        fillNanos += System.nanoTime() - s
+        topNanos += System.nanoTime() - s
         var k = 0
         while (k < todo.size) { table(todo(k).i * n + todo(k).j) = got(k); k += 1 }
       }
@@ -85,43 +136,46 @@ object TSExplain {
     val top: Segment => TopIds = s => table(s.i * n + s.j)
     val costs = new SegmentCosts(cube, cfg.metric, top)
 
-    // The lists `SegmentCosts` reads for a DP over `positions`: every unit
-    // segment and, except for the all-pair metrics (which compare unit lists
-    // only), every segment the DP costs. With finite costs and a length cap
-    // that every position can reach (all positions under L ≥ 2, or no cap),
-    // that is each pair within the cap; with K ≤ 1 only those starting at
-    // the first position.
+    // The cells a DP over `positions` reads. With finite costs and a length
+    // cap that every position can reach (all positions under L ≥ 2, or no
+    // cap), that is each pair within the cap; with K ≤ 1 only those starting
+    // at the first position.
+    def dpCells(positions: Vector[Int], kMax: Int, maxSegLen: Int): Vector[Segment] = {
+      val starts = if (math.min(kMax, positions.size - 1) >= 2) positions.size - 1 else 1
+      (for {
+        b <- Iterator.range(0, starts)
+        a <- Iterator.range(b + 1, positions.size)
+        if positions(a) - positions(b) <= maxSegLen
+      } yield Segment(positions(b), positions(a))).toVector
+    }
+    // Before each DP run: solve the lists `SegmentCosts` reads for it, every
+    // unit segment and, except for the all-pair metrics (which compare unit
+    // lists only), every cell; then fill those cells' costs.
     val unitsOnly = cfg.metric == VarianceMetric.AllPair || cfg.metric == VarianceMetric.SAllPair
-    def dpReads(positions: Vector[Int], kMax: Int, maxSegLen: Int = n): Iterator[Segment] = {
+    def prepare(positions: Vector[Int], kMax: Int, maxSegLen: Int = n): Unit = {
+      val cells = dpCells(positions, kMax, maxSegLen)
       val units = Iterator.range(0, n - 1).map(x => Segment(x, x + 1))
-      if (unitsOnly) units
-      else {
-        val starts = if (math.min(kMax, positions.size - 1) >= 2) positions.size - 1 else 1
-        units ++ (for {
-          b <- Iterator.range(0, starts)
-          a <- Iterator.range(b + 1, positions.size)
-          if positions(a) - positions(b) <= maxSegLen
-        } yield Segment(positions(b), positions(a)))
-      }
+      solveTops(if (unitsOnly) units else units ++ cells.iterator)
+      costs.fill(cells.iterator)
     }
 
     val t1 = System.nanoTime()
     val all = (0 until n).toVector
     val candidates: Vector[Int] =
       if (cfg.sketch) {
-        fill(dpReads(all, Sketch.sketchSize(n), Sketch.maxSegLen(n)))
+        prepare(all, Sketch.sketchSize(n), Sketch.maxSegLen(n))
         Sketch.select(costs)
       } else all
     val kCap = math.min(cfg.kMax, candidates.size - 1)
-    fill(dpReads(candidates, kCap))
+    prepare(candidates, kCap)
     val dpRes = KSegmentation.dp(costs.cost, candidates, kCap)
     val curve = dpRes.curve
-    val k = cfg.fixedK.map(k0 => math.max(1, math.min(k0, kCap))).getOrElse(Elbow.select(curve))
+    val k = cfg.fixedK.map(math.min(_, kCap)).getOrElse(Elbow.select(curve))
     val scheme = dpRes.schemes(k - 1).get
-    fill(scheme.segments.iterator) // new only for the all-pair metrics
+    solveTops(scheme.segments.iterator) // new only for the all-pair metrics
     val perSegment = scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, top(s)))
     val stageNanos = System.nanoTime() - t1
-    val caMs = fillNanos / 1e6
+    val caMs = topNanos / 1e6
     val ksegMs = math.max(0.0, stageNanos / 1e6 - caMs)
 
     Result(

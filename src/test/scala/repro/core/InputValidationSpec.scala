@@ -1,0 +1,62 @@
+package repro.core
+
+import org.scalatest.funsuite.AnyFunSuite
+
+/** Inputs no run can use are rejected where they enter: `TSConfig` when it
+  * is built, `ExplCube` when it is built, `explain` when it is called; each
+  * with an `IllegalArgumentException` that names what is wrong.
+  */
+class InputValidationSpec extends AnyFunSuite {
+
+  def rejected(what: String)(body: => Any): Unit = {
+    val e = intercept[IllegalArgumentException](body)
+    assert(e.getMessage.contains(what), e.getMessage)
+  }
+
+  def cube(n: Int): ExplCube =
+    ExplCube.fromSeries(Seq("a"), (0 until n).map(_.toString), Array.tabulate(n)(_.toDouble),
+      Seq(Expl.of("a" -> "x") -> Array.tabulate(n)(_.toDouble)))
+
+  test("TSConfig rejects m < 1") {
+    rejected("m must be at least 1")(TSConfig(m = 0))
+  }
+
+  test("TSConfig rejects kMax < 1") {
+    rejected("kMax must be at least 1")(TSConfig(kMax = 0))
+  }
+
+  test("TSConfig rejects fixedK < 1 instead of clamping it") {
+    rejected("fixedK must be at least 1, got 0")(TSConfig(fixedK = Some(0)))
+    rejected("fixedK must be at least 1, got -3")(TSConfig(fixedK = Some(-3)))
+  }
+
+  test("TSConfig rejects smoothWindow < 1") {
+    rejected("smoothWindow must be at least 1")(TSConfig(smoothWindow = Some(0)))
+  }
+
+  test("TSConfig rejects a filterRatio that is not finite or is negative") {
+    for (r <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity, -0.001))
+      rejected("filterRatio must be finite and non-negative")(TSConfig(filterRatio = Some(r)))
+    assert(TSConfig(filterRatio = Some(0.0)).filterRatio.contains(0.0))
+  }
+
+  test("explain rejects a series of fewer than 2 points") {
+    for (n <- Seq(0, 1)) rejected(s"got n = $n")(TSExplain.explain(cube(n), TSConfig()))
+    assert(TSExplain.explain(cube(2), TSConfig()).explanation.scheme.cuts == Vector(0, 1))
+  }
+
+  test("ExplCube rejects non-finite series values, naming the explanation and time index") {
+    for (v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
+      rejected(s"the series of a=y is not finite at time index 2") {
+        ExplCube.fromSeries(Seq("a"), (0 until 4).map(_.toString), Array(1.0, 2.0, 3.0, 4.0),
+          Seq(Expl.of("a" -> "x") -> Array(1.0, 2.0, 3.0, 4.0), Expl.of("a" -> "y") -> Array(0.0, 0.0, v, 0.0)))
+      }
+      rejected("the total series is not finite at time index 1") {
+        ExplCube.fromSeries(Seq("a"), (0 until 3).map(_.toString), Array(1.0, v, 3.0), Seq.empty)
+      }
+    }
+    rejected("not finite at time index 0") {
+      ExplCube.fromRecords(Seq("a"), Seq("0", "1"), Seq((Map("a" -> "x"), 0, Double.NaN), (Map("a" -> "x"), 1, 1.0)))
+    }
+  }
+}
