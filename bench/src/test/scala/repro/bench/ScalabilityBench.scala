@@ -6,13 +6,14 @@ import repro.eval.Benches
 /** Figure 17 (table-ized) — latency vs time series length on the synthetic
   * generator. Paper: Vanilla grows super-linearly (terminated past 100 s by
   * n = 6400) while the optimized pipeline stays interactive (982 ms at
-  * n = 3200). We sweep shorter lengths (JVM vs C++) and assert the shape:
-  * optimized ≪ vanilla, and optimized growth is sub-quadratic.
+  * n = 3200). We sweep up to n = 3200 (vanilla only up to its cap) and
+  * assert the shape: optimized ≪ vanilla, and optimized growth is
+  * sub-quadratic.
   */
 class ScalabilityBench extends AnyFunSuite {
 
   test("Fig 17: optimized latency scales far better than vanilla in n") {
-    val lengths = sys.env.getOrElse("BENCH_FIG17_LENGTHS", "100,200,400,800").split(",").map(_.trim.toInt).toSeq
+    val lengths = sys.env.getOrElse("BENCH_FIG17_LENGTHS", "100,200,400,800,1600,3200").split(",").map(_.trim.toInt).toSeq
     val vanillaCap = sys.env.getOrElse("BENCH_FIG17_VANILLA_CAP", "400").toInt
     // JIT warm-up
     Benches.scalability(Seq(100), vanillaCap = 100)
@@ -22,6 +23,7 @@ class ScalabilityBench extends AnyFunSuite {
       Seq("n", "Vanilla", "O1+O2"),
       rows.map(r => Seq(r.n.toString,
         r.vanillaMs.map(v => f"$v%.0f").getOrElse("(skipped)"), f"${r.optMs}%.0f"))))
+    rows.find(_.n == 3200).foreach(r => println(f"n = 3200, O1+O2: ${r.optMs}%.0f ms (paper: 982 ms)"))
 
     // at the largest length where vanilla ran, opt must be clearly faster
     val biggest = rows.filter(_.vanillaMs.isDefined).maxBy(_.n)

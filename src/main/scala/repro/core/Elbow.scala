@@ -9,13 +9,15 @@ package repro.core
   */
 object Elbow {
 
-  /** `curve(k-1)` = total variance at K = k. Returns the selected K ≥ 1. */
+  /** `curve(k-1)` = total variance at K = k. Returns the selected K ≥ 1: 1
+    * for a flat curve, of any length, else the larger K of a 2-point curve.
+    */
   def select(curve: Vector[Double]): Int = {
     val kMax = curve.size
-    if (kMax <= 2) return kMax
     val vMax = curve.head
     val vMin = curve.min
     if (vMax - vMin <= 0) return 1 // flat curve: no gain from cutting at all
+    if (kMax <= 2) return kMax
     var bestK = 1
     var bestD = Double.NegativeInfinity
     var k = 1

@@ -29,51 +29,68 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
   private val gammas = new Array[Double](eps)
   private val active = new Array[Boolean](eps)
 
-  /** Top-`k` explanation ids by γ, descending — bounded min-heap selection
-    * so a segment costs O(ε log k), not a full ε log ε sort.
+  // The largest list topByGamma is asked for: m̄ + m for the largest guess
+  // m̄ < ε, at most ε.
+  private val heapCap = {
+    var largest = 0
+    var mBar = math.min(initialMBar, eps)
+    while (mBar < eps) { largest = mBar; mBar = math.min(mBar * 2, eps) }
+    if (largest == 0) 0 else math.min(largest + m, eps)
+  }
+  // A min-heap of (γ, id) holding heapSize entries, and topByGamma's answer
+  // in its first orderSize entries; allocated once, reused by every guess.
+  private val heapGamma = new Array[Double](heapCap)
+  private val heapId = new Array[Int](heapCap)
+  private var heapSize = 0
+  private val order = new Array[Int](heapCap)
+  private var orderSize = 0
+
+  private def swap(a: Int, b: Int): Unit = {
+    val tg = heapGamma(a); heapGamma(a) = heapGamma(b); heapGamma(b) = tg
+    val ti = heapId(a); heapId(a) = heapId(b); heapId(b) = ti
+  }
+
+  private def siftUp(c0: Int): Unit = {
+    var c = c0
+    while (c > 0 && heapGamma((c - 1) / 2) > heapGamma(c)) { swap(c, (c - 1) / 2); c = (c - 1) / 2 }
+  }
+
+  private def siftDown(): Unit = {
+    var c = 0
+    var done = false
+    while (!done) {
+      val l = 2 * c + 1; val r = 2 * c + 2
+      var s = c
+      if (l < heapSize && heapGamma(l) < heapGamma(s)) s = l
+      if (r < heapSize && heapGamma(r) < heapGamma(s)) s = r
+      if (s == c) done = true
+      else { swap(s, c); c = s }
+    }
+  }
+
+  /** Puts the top-`k` explanation ids by γ, descending, in `order(0 until
+    * orderSize)` — bounded min-heap selection so a segment costs
+    * O(ε log k), not a full ε log ε sort.
     */
-  private def topByGamma(k: Int): Array[Int] = {
+  private def topByGamma(k: Int): Unit = {
     val cap = math.min(k, eps)
-    val hg = new Array[Double](cap) // heap of gammas (min-heap)
-    val hi = new Array[Int](cap)
-    var size = 0
-    def swap(a: Int, b: Int): Unit = {
-      val tg = hg(a); hg(a) = hg(b); hg(b) = tg
-      val ti = hi(a); hi(a) = hi(b); hi(b) = ti
-    }
-    def siftUp(c0: Int): Unit = {
-      var c = c0
-      while (c > 0 && hg((c - 1) / 2) > hg(c)) { swap(c, (c - 1) / 2); c = (c - 1) / 2 }
-    }
-    def siftDown(): Unit = {
-      var c = 0
-      var done = false
-      while (!done) {
-        val l = 2 * c + 1; val r = 2 * c + 2
-        var s = c
-        if (l < size && hg(l) < hg(s)) s = l
-        if (r < size && hg(r) < hg(s)) s = r
-        if (s == c) done = true
-        else { swap(s, c); c = s }
-      }
-    }
+    heapSize = 0
     var id = 0
     while (id < eps) {
       val g = gammas(id)
-      if (size < cap) { hg(size) = g; hi(size) = id; size += 1; siftUp(size - 1) }
-      else if (g > hg(0)) { hg(0) = g; hi(0) = id; siftDown() }
+      if (heapSize < cap) { heapGamma(heapSize) = g; heapId(heapSize) = id; heapSize += 1; siftUp(heapSize - 1) }
+      else if (g > heapGamma(0)) { heapGamma(0) = g; heapId(0) = id; siftDown() }
       id += 1
     }
     // extract ascending into the tail: γ descending
-    val out = new Array[Int](size)
-    var s = size
+    orderSize = heapSize
+    var s = heapSize
     while (s > 0) {
-      out(s - 1) = hi(0)
+      order(s - 1) = heapId(0)
       s -= 1
-      hg(0) = hg(s); hi(0) = hi(s); size = s
+      heapGamma(0) = heapGamma(s); heapId(0) = heapId(s); heapSize = s
       siftDown()
     }
-    out
   }
 
   /** Top-m via guess-and-verify; equal (in score) to the vanilla CA. Each
@@ -89,7 +106,7 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
         maxMBarUsed = math.max(maxMBarUsed, eps)
         return ca.topIds(seg)
       }
-      val order = topByGamma(mBar + m) // m̄ actives + the certificate tail
+      topByGamma(mBar + m) // m̄ actives + the certificate tail
       java.util.Arrays.fill(active, false)
       var r = 0
       while (r < mBar) { cube.markWithAncestors(order(r), active); r += 1 }
@@ -102,7 +119,7 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
       var mp = m - 1
       while (mp >= 0 && ok) {
         val tailRank = mBar + (m - 1 - mp)
-        tailSum += (if (tailRank < order.length) gammas(order(tailRank)) else 0.0)
+        tailSum += (if (tailRank < orderSize) gammas(order(tailRank)) else 0.0)
         val bound = res.best(mp) + tailSum
         if (res.best(m) + 4 * m * GuessVerify.Roundoff * bound < bound) ok = false
         mp -= 1

@@ -20,7 +20,8 @@ object VarianceMetric {
   val all: Vector[VarianceMetric] = Vector(Tse, Dist1, Dist2, AllPair, STse, SDist1, SDist2, SAllPair)
 }
 
-/** NDCG-based distance between segments (Section 4.1.3).
+/** NDCG between segments (Section 4.1.3), from which [[SegmentCosts]]
+  * builds the distance of Eq. 6 and its two directions.
   *
   * A segment's top-explanation list is treated as a ranked document list; the
   * relevance of explanation E (ranked for segment P_j) towards segment P_i is
@@ -30,7 +31,8 @@ object VarianceMetric {
   */
 final class Ndcg(cube: ExplCube) {
 
-  private val invLog: Array[Double] =
+  /** The rank discount 1 / log2(r + 2) of rank r (from 0). */
+  private[core] val invLog: Array[Double] =
     Array.tabulate(64)(r => 1.0 / (math.log(r + 2.0) / math.log(2.0)))
 
   /** DCG of a segment's own list — rectification is trivially satisfied. */
@@ -58,27 +60,10 @@ final class Ndcg(cube: ExplCube) {
   }
 
   /** NDCG(target, E*(other)) — how well `other`'s explanations explain
-    * `target` (Eq. 5). A flat target (IDCG = 0 forces DCG = 0) scores 1.
+    * `target` (Eq. 5), given the target's IDCG, `dcgSelf(target, targetTop)`.
+    * A flat target (IDCG = 0 forces DCG = 0) scores 1.
     */
-  def ndcg(target: Segment, targetTop: TopIds, other: TopIds): Double =
-    ndcgGiven(dcgSelf(target, targetTop), target, other)
-
-  /** [[ndcg]] with the target's IDCG, `dcgSelf(target, targetTop)`, given. */
   def ndcgGiven(idcg: Double, target: Segment, other: TopIds): Double =
     if (idcg <= 0.0) 1.0
     else math.min(1.0, dcgCross(target, other) / idcg)
-
-  /** Symmetric explanation distance dist(P_i, P_j) (Eq. 6). */
-  def dist(si: Segment, ti: TopIds, sj: Segment, tj: TopIds): Double =
-    1.0 - (ndcg(si, ti, tj) + ndcg(sj, tj, ti)) / 2.0
-
-  /** Directional variants used by the alternative metrics (Eq. 8 / Eq. 9):
-    * dist1 keeps only how well the object's list explains the centroid;
-    * dist2 keeps only how well the centroid's list explains the object.
-    */
-  def dist1(centroid: Segment, centroidTop: TopIds, objTop: TopIds): Double =
-    1.0 - ndcg(centroid, centroidTop, objTop)
-
-  def dist2(obj: Segment, objTop: TopIds, centroidTop: TopIds): Double =
-    1.0 - ndcg(obj, objTop, centroidTop)
 }

@@ -141,12 +141,17 @@ object TSExplain {
     // cap), that is each pair within the cap; with K ≤ 1 only those starting
     // at the first position.
     def dpCells(positions: Vector[Int], kMax: Int, maxSegLen: Int): Vector[Segment] = {
-      val starts = if (math.min(kMax, positions.size - 1) >= 2) positions.size - 1 else 1
-      (for {
-        b <- Iterator.range(0, starts)
-        a <- Iterator.range(b + 1, positions.size)
-        if positions(a) - positions(b) <= maxSegLen
-      } yield Segment(positions(b), positions(a))).toVector
+      val p = positions.toArray
+      val starts = if (math.min(kMax, p.length - 1) >= 2) p.length - 1 else 1
+      val cells = Vector.newBuilder[Segment]
+      var b = 0
+      while (b < starts) {
+        // Positions ascend, so the pairs from p(b) end at the first one past the cap.
+        var a = b + 1
+        while (a < p.length && p(a) - p(b) <= maxSegLen) { cells += Segment(p(b), p(a)); a += 1 }
+        b += 1
+      }
+      cells.result()
     }
     // Before each DP run: solve the lists `SegmentCosts` reads for it, every
     // unit segment and, except for the all-pair metrics (which compare unit

@@ -21,6 +21,10 @@ class ElbowSpec extends AnyFunSuite {
     assert(Elbow.select(Vector(5.0, 5.0, 5.0, 5.0)) == 1)
   }
 
+  test("a flat curve selects K = 1 at every length, 2 points included") {
+    for (len <- 1 to 4; v <- Seq(0.0, 2.5)) assert(Elbow.select(Vector.fill(len)(v)) == 1, s"$len points of $v")
+  }
+
   test("size-1 and size-2 curves return their max K") {
     assert(Elbow.select(Vector(3.0)) == 1)
     assert(Elbow.select(Vector(3.0, 1.0)) == 2)

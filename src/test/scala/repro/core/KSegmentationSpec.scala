@@ -1,6 +1,7 @@
 package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.NdcgDefinitions._
 import scala.util.Random
 
 class KSegmentationSpec extends AnyFunSuite {

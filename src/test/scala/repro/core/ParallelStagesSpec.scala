@@ -2,11 +2,12 @@ package repro.core
 
 import java.util.concurrent.{CountDownLatch, ForkJoinWorkerThread, TimeUnit}
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.NdcgDefinitions._
 import scala.util.Random
 
-/** The driver's parallel stages: the block-parallel [[TopLists.Driver]], the
-  * hoisted cost kernel of [[SegmentCosts.weightedVar]] and the parallel
-  * [[SegmentCosts.fill]].
+/** The driver's parallel stages and hot loops: the block-parallel
+  * [[TopLists.Driver]], the lookup cost kernel of [[SegmentCosts]], its
+  * parallel [[SegmentCosts.fill]], and the DP's one-read cost array.
   */
 class ParallelStagesSpec extends AnyFunSuite {
 
@@ -111,6 +112,143 @@ class ParallelStagesSpec extends AnyFunSuite {
           val (a, b) = (filled.cost(s.i, s.j), lazyCosts.cost(s.i, s.j))
           assert(java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b), s"${metric.name} $s")
         }
+      }
+    }
+  }
+
+  /** The per-object cost kernel of the version before the lookup kernel:
+    * every object's list and the centroid's list compared with
+    * `Ndcg.ndcgGiven`, object by object.
+    */
+  def perObjectVar(cube: ExplCube, metric: VarianceMetric, top: Segment => TopIds)(i: Int, j: Int): Double = {
+    val nd = new Ndcg(cube)
+    def sq(v: Double) = if (metric.squared) v * v else v
+    def unit(x: Int) = Segment(x, x + 1)
+    val unitIdcg = Array.tabulate(cube.n - 1)(x => nd.dcgSelf(unit(x), top(unit(x))))
+    val toCentroid = metric != VarianceMetric.Dist2 && metric != VarianceMetric.SDist2
+    val toObject = metric != VarianceMetric.Dist1 && metric != VarianceMetric.SDist1
+    val len = j - i
+    metric match {
+      case VarianceMetric.AllPair | VarianceMetric.SAllPair =>
+        if (len <= 1) 0.0
+        else {
+          var s = 0.0
+          for (x <- i until j; y <- x + 1 until j)
+            s += sq(1.0 - (nd.ndcgGiven(unitIdcg(x), unit(x), top(unit(y))) +
+              nd.ndcgGiven(unitIdcg(y), unit(y), top(unit(x)))) / 2.0)
+          len * (s / (len * (len - 1) / 2.0))
+        }
+      case _ =>
+        val cseg = Segment(i, j)
+        val ctop = top(cseg)
+        val cIdcg = if (toCentroid) nd.dcgSelf(cseg, ctop) else 0.0
+        var s = 0.0
+        for (x <- i until j) {
+          val d =
+            if (!toObject) 1.0 - nd.ndcgGiven(cIdcg, cseg, top(unit(x)))
+            else if (!toCentroid) 1.0 - nd.ndcgGiven(unitIdcg(x), unit(x), ctop)
+            else 1.0 - (nd.ndcgGiven(cIdcg, cseg, top(unit(x))) + nd.ndcgGiven(unitIdcg(x), unit(x), ctop)) / 2.0
+          s += sq(d)
+        }
+        s
+    }
+  }
+
+  def sameBits(a: Double, b: Double): Boolean =
+    java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b)
+
+  test("fill (band, then sketch pairs) and the lazy cost equal the per-object kernel, bit for bit") {
+    val rnd = new Random(31)
+    val maxLen = 4
+    for ((cube, flat) <- Seq(flatCube(rnd, n = 40) -> true, wideCube(rnd, n = 30) -> false)) {
+      val n = cube.n
+      val top = topTable(cube)
+      if (flat) {
+        assert(new Ndcg(cube).dcgSelf(Segment(7, 8), top(Segment(7, 8))) == 0.0, "a flat unit")
+        assert(allSegments(n).exists(s => (0 until n - 1).exists(x =>
+          top(s).ids.exists(id => cube.tau(id, Segment(x, x + 1)) == 0))), "a listed explanation with τ = 0 on a unit")
+      }
+      val band = allSegments(n).filter(_.length <= maxLen)
+      val positions = (0 +: (1 until n - 1).filter(_ => rnd.nextDouble() < 0.6) :+ (n - 1)).toVector
+      val pairs = for (b <- positions.indices.toVector; a <- b + 1 until positions.size) yield Segment(positions(b), positions(a))
+      // The second fill computes the pairs outside the band, in Blocks.run's
+      // blocks; some centroid list has cells in two of them.
+      val todo = pairs.filter(_.length > maxLen)
+      val blocks = math.min(todo.size / Blocks.MinSize, 4 * (java.util.concurrent.ForkJoinPool.getCommonPoolParallelism + 1))
+      assert(blocks >= 2, "the pairs span several blocks")
+      val blockOf = todo.indices.map(k => (0 until blocks).indexWhere(b => k < (b + 1).toLong * todo.size / blocks))
+      val listBlocks = todo.indices.groupBy(k => (top(todo(k)).ids.toSeq, top(todo(k)).taus.toSeq)).values
+      assert(listBlocks.exists(ks => ks.map(blockOf).distinct.size > 1), "a centroid list cut apart by a block split")
+      for (metric <- VarianceMetric.all) {
+        val ref = perObjectVar(cube, metric, top) _
+        val filled = new SegmentCosts(cube, metric, top)
+        filled.fill(band.iterator)
+        filled.fill(pairs.iterator)
+        val lazyCosts = new SegmentCosts(cube, metric, top)
+        for (s <- band ++ pairs) {
+          val want = ref(s.i, s.j)
+          assert(sameBits(filled.cost(s.i, s.j), want), s"fill ${metric.name} $s")
+          assert(sameBits(lazyCosts.cost(s.i, s.j), want), s"lazy ${metric.name} $s")
+        }
+      }
+    }
+  }
+
+  /** The DP of the version before the one-read cost array: it calls `cost`
+    * for each (b, a) of each layer whose prefix d(k − 1)(b) is finite.
+    */
+  def layerByLayerDp(cost: (Int, Int) => Double, positions: Vector[Int], kMax: Int,
+      maxSegLen: Option[Int]): KSegmentation.DPResult = {
+    val p = positions.toArray
+    val np = p.length
+    val kCap = math.min(kMax, np - 1)
+    val cap = maxSegLen.getOrElse(Int.MaxValue)
+    val firstStart = Array.tabulate(np)(a => (0 until a).find(b => p(a) - p(b) <= cap).getOrElse(a))
+    val inf = Double.PositiveInfinity
+    val d = Array.fill(kCap + 1)(Array.fill(np)(inf))
+    val from = Array.fill(kCap + 1)(Array.fill(np)(-1))
+    for (a <- 1 until np if firstStart(a) == 0) { d(1)(a) = cost(p(0), p(a)); from(1)(a) = 0 }
+    for (k <- 2 to kCap; a <- k until np) {
+      var best = inf
+      var arg = -1
+      for (b <- math.max(k - 1, firstStart(a)) until a if d(k - 1)(b) < inf) {
+        val v = d(k - 1)(b) + cost(p(b), p(a))
+        if (v < best) { best = v; arg = b }
+      }
+      d(k)(a) = best; from(k)(a) = arg
+    }
+    val last = np - 1
+    val schemes = (1 to kCap).map { k =>
+      if (d(k)(last) < inf)
+        Some(SegScheme(Iterator.iterate((k, last)) { case (kk, cur) => (kk - 1, from(kk)(cur)) }
+          .take(k + 1).map(e => p(e._2)).toVector.reverse))
+      else None
+    }
+    KSegmentation.DPResult((1 to kCap).map(k => d(k)(last)).toVector, schemes.toVector)
+  }
+
+  test("dp reads each allowed cell once and equals the layer-by-layer DP, bit for bit") {
+    val rnd = new Random(37)
+    for (trial <- 1 to 300) {
+      val n = 2 + rnd.nextInt(30)
+      val positions = (0 until n).filter(_ => rnd.nextDouble() < 0.7).toVector
+      if (positions.size >= 2) {
+        val kMax = 1 + rnd.nextInt(positions.size)
+        val maxSegLen = if (rnd.nextBoolean()) None else Some(1 + rnd.nextInt(n))
+        // Few distinct values, so that many candidate sums tie.
+        val table = Array.fill(n * n)(rnd.nextInt(4) * 0.25 + (if (rnd.nextInt(8) == 0) 0.1 else 0.0))
+        val reads = scala.collection.mutable.Map.empty[(Int, Int), Int].withDefaultValue(0)
+        val got = KSegmentation.dp((i, j) => { reads((i, j)) += 1; table(i * n + j) }, positions, kMax, maxSegLen)
+        val want = layerByLayerDp((i, j) => table(i * n + j), positions, kMax, maxSegLen)
+        val what = s"trial $trial: positions $positions, kMax $kMax, cap $maxSegLen"
+        assert(got.curve.size == want.curve.size && got.curve.zip(want.curve).forall { case (a, b) => sameBits(a, b) }, what)
+        assert(got.schemes == want.schemes, what)
+        val cap = maxSegLen.getOrElse(Int.MaxValue)
+        val starts = if (math.min(kMax, positions.size - 1) >= 2) positions.size - 1 else 1
+        val allowed = for (b <- 0 until starts; a <- b + 1 until positions.size if positions(a) - positions(b) <= cap)
+          yield (positions(b), positions(a))
+        assert(reads.keySet == allowed.toSet, what)
+        assert(reads.values.forall(_ == 1), what)
       }
     }
   }

@@ -55,6 +55,16 @@ class TSExplainSpec extends AnyFunSuite {
     assert(both.explanation.totalVariance <= vanilla.explanation.totalVariance * 1.25 + 0.05)
   }
 
+  test("a flat or all-zero series is one segment at every length, with and without O2") {
+    for (n <- 2 to 4; level <- Seq(0.0, 7.0); sketch <- Seq(false, true)) {
+      val series = Seq(Expl.of("A" -> "a") -> Array.fill(n)(level), Expl.of("A" -> "b") -> Array.fill(n)(2 * level))
+      val cube = ExplCube.fromSeries(Seq("A"), (0 until n).map(_.toString), Array.fill(n)(3 * level), series)
+      val ex = TSExplain.explain(cube, TSConfig(sketch = sketch)).explanation
+      assert(ex.kVarianceCurve.forall(_._2 == 0.0), s"n = $n, level $level, sketch $sketch")
+      assert(ex.scheme == SegScheme(Vector(0, n - 1)), s"n = $n, level $level, sketch $sketch")
+    }
+  }
+
   test("the K-variance curve is reported for every K up to the cap") {
     val ds = SyntheticGen.generate(n = 50, snrDb = 40, seed = 10)
     val res = TSExplain.explain(ds.cube, TSConfig(kMax = 12))
