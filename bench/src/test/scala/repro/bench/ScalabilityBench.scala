@@ -8,7 +8,8 @@ import repro.eval.Benches
   * n = 6400) while the optimized pipeline stays interactive (982 ms at
   * n = 3200). We sweep up to n = 3200 (vanilla only up to its cap) and
   * assert the shape: optimized ≪ vanilla, and optimized growth is
-  * sub-quadratic.
+  * sub-quadratic. Each optimized query's allocation, over all threads, is
+  * printed next to its time.
   */
 class ScalabilityBench extends AnyFunSuite {
 
@@ -18,11 +19,11 @@ class ScalabilityBench extends AnyFunSuite {
     // JIT warm-up
     Benches.scalability(Seq(100), vanillaCap = 100)
     val rows = Benches.scalability(lengths, vanillaCap)
-    println("=== Fig 17 (latency vs series length, ms) ===")
+    println("=== Fig 17 (latency vs series length, ms; O1+O2 allocation, MB) ===")
     println(Benches.fmtTable(
-      Seq("n", "Vanilla", "O1+O2"),
+      Seq("n", "Vanilla", "O1+O2", "O1+O2 MB"),
       rows.map(r => Seq(r.n.toString,
-        r.vanillaMs.map(v => f"$v%.0f").getOrElse("(skipped)"), f"${r.optMs}%.0f"))))
+        r.vanillaMs.map(v => f"$v%.0f").getOrElse("(skipped)"), f"${r.optMs}%.0f", f"${r.optAllocMb}%.0f"))))
     rows.find(_.n == 3200).foreach(r => println(f"n = 3200, O1+O2: ${r.optMs}%.0f ms (paper: 982 ms)"))
 
     // at the largest length where vanilla ran, opt must be clearly faster

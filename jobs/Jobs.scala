@@ -140,7 +140,7 @@ object Latency {
           f"${r.caMs}%.0f", f"${r.ksegMs}%.0f", f"${r.totalMs}%.0f"))))
     }
     val scale = Benches.scalability(Seq(100, 200, 400, 800), vanillaCap = 400)
-    println(Benches.fmtTable(Seq("n", "Vanilla ms", "O1+O2 ms"),
-      scale.map(r => Seq(r.n.toString, r.vanillaMs.map(v => f"$v%.0f").getOrElse("-"), f"${r.optMs}%.0f"))))
+    println(Benches.fmtTable(Seq("n", "Vanilla ms", "O1+O2 ms", "O1+O2 MB"),
+      scale.map(r => Seq(r.n.toString, r.vanillaMs.map(v => f"$v%.0f").getOrElse("-"), f"${r.optMs}%.0f", f"${r.optAllocMb}%.0f"))))
   }
 }

@@ -6,8 +6,10 @@ package repro.core
   * Objects are the unit segments [p_x, p_x+1]; the centroid of a partition
   * [p_i, p_j] is the partition itself. Top-explanation lists are supplied by
   * `topFn` (full CA, guess-and-verify CA, …) and should be cached by the
-  * caller — this class memoizes costs in a dense n×n array, each unit's
-  * self-DCG, and the pairwise object distances the all-pair metrics share.
+  * caller. [[values]] computes the costs of a DP run's cells, given their
+  * lists; the lazy [[cost]] memoizes costs read one at a time. This class
+  * also keeps each unit's self-DCG and the pairwise object distances the
+  * all-pair metrics share.
   *
   * The Eq. 6 metrics (all but the all-pair ones) sum, over the objects x of
   * a cell, a term of how well x's list explains the centroid and a term of
@@ -99,7 +101,7 @@ final class SegmentCosts(
     }
   }
 
-  // Built on first use, once the unit lists can be read; `fill` builds it
+  // Built on first use, once the unit lists can be read; `values` builds it
   // on the calling thread, before its blocks read it.
   private lazy val unitTables = new UnitTables
 
@@ -192,8 +194,13 @@ final class SegmentCosts(
       eq6Var(i, j, ctop, sc)
     }
 
-  // weightedVar(i, j) at i·n + j; NaN marks a cell not yet computed.
-  private val costMemo = Array.fill(n * n)(Double.NaN)
+  // weightedVar(i, j) at i·n + j, NaN where not yet computed; allocated on
+  // the first lazy read.
+  private lazy val costMemo = {
+    val memo = new Array[Double](n * n)
+    java.util.Arrays.fill(memo, Double.NaN)
+    memo
+  }
 
   /** Memoized [[weightedVar]]. */
   def cost(i: Int, j: Int): Double = {
@@ -203,33 +210,30 @@ final class SegmentCosts(
     v
   }
 
-  /** Computes the memo cells `cells(from until until)` (codes i·n + j). For
-    * the Eq. 6 metrics the cells are taken group by group, a group being the
-    * cells with equal centroid lists in their given order. Within a run of
-    * ascending starts, as a DP's cells come, a group computes its
-    * centroid→object terms once for each object some cell of it covers.
+  /** Writes the costs of cells `from until until` into `out`. For the Eq. 6
+    * metrics the cells are taken group by group, a group being the cells
+    * with equal centroid lists in cell order. Within a run of ascending
+    * starts, as cells come, a group computes its centroid→object terms once
+    * for each object some cell of it covers.
     */
-  private def fillBlock(cells: Array[Int], from: Int, until: Int, tables: UnitTables): Unit =
+  private def valuesBlock(cells: KSegmentation.Cells, lists: Array[TopIds], from: Int, until: Int,
+      tables: UnitTables, out: Array[Double]): Unit =
     if (allPair) {
       var k = from
-      while (k < until) { costMemo(cells(k)) = allPairVar(cells(k) / n, cells(k) % n); k += 1 }
+      while (k < until) { out(k) = allPairVar(cells.start(k), cells.end(k)); k += 1 }
     } else {
       val size = until - from
-      val tops = new Array[TopIds](size)
-      val vals = new Array[Double](size)
-      var k = 0
-      while (k < size) { val c = cells(from + k); tops(k) = topFn(Segment(c / n, c % n)); k += 1 }
       // The cells by group (a counting sort), unless the metric skips the
       // centroid→object term.
-      val order = Array.range(0, size)
+      val order = Array.range(from, until)
       val group = new Array[Int](size)
       if (toObject) {
-        val lists = new SegmentCosts.ListIds(size)
-        for (k <- 0 until size) group(k) = lists.idOf(tops(k))
-        val next = new Array[Int](lists.reps.size + 1)
+        val ids = new SegmentCosts.ListIds(size)
+        for (k <- 0 until size) group(k) = ids.idOf(lists(from + k))
+        val next = new Array[Int](ids.reps.size + 1)
         for (g <- group) next(g + 1) += 1
         for (g <- 1 until next.length) next(g) += next(g - 1)
-        for (k <- 0 until size) { order(next(group(k))) = k; next(group(k)) += 1 }
+        for (k <- 0 until size) { order(next(group(k))) = from + k; next(group(k)) += 1 }
       }
       val sc = new Scratch(tables)
       var run = -1 // the group of the current run
@@ -238,40 +242,30 @@ final class SegmentCosts(
       var r = 0
       while (r < size) {
         val k = order(r)
-        val c = cells(from + k)
-        val i = c / n
-        val j = c % n
-        val ctop = tops(k)
+        val i = cells.start(k)
+        val j = cells.end(k)
+        val ctop = lists(k)
         if (toObject) {
-          if (group(k) != run || i < start) { run = group(k); covered = 0 }
+          if (group(k - from) != run || i < start) { run = group(k - from); covered = 0 }
           start = i
           if (j > covered) { toObjectTerms(ctop, math.max(i, covered), j, sc); covered = j }
         }
-        vals(k) = eq6Var(i, j, ctop, sc)
+        out(k) = eq6Var(i, j, ctop, sc)
         r += 1
       }
-      // Written back in the given order, which is the memo's for a DP's cells.
-      k = 0
-      while (k < size) { costMemo(cells(from + k)) = vals(k); k += 1 }
     }
 
-  /** Computes the memo cells of `segments` not yet computed, in parallel
-    * blocks on the JVM's common ForkJoinPool, so that [[cost]] then only
-    * reads them. `topFn` must be safe to call from several threads, as a
-    * lookup in an already filled table is; [[cost]] alone calls it from the
-    * caller's thread only.
+  /** The cost of each of `cells`, in cell order, with `lists(k)` the top list
+    * of cell k (not read by the all-pair metrics). Computed in parallel
+    * blocks on the JVM's common ForkJoinPool; `topFn`, which gives the unit
+    * lists here, must be safe to call from several threads, as a lookup in
+    * an already filled table is. Memoizes nothing.
     */
-  def fill(segments: Iterator[Segment]): Unit = {
-    val todo = Array.newBuilder[Int]
-    for (s <- segments) {
-      val c = s.i * n + s.j
-      if (costMemo(c).isNaN) todo += c
-    }
-    val cells = todo.result()
-    if (cells.nonEmpty) {
-      val tables = if (allPair) null else unitTables
-      Blocks.run(cells.length)((from, until) => fillBlock(cells, from, until, tables))
-    }
+  def values(cells: KSegmentation.Cells, lists: Array[TopIds]): Array[Double] = {
+    val out = new Array[Double](cells.size)
+    val tables = if (allPair) null else unitTables
+    Blocks.run(cells.size)((from, until) => valuesBlock(cells, lists, from, until, tables, out))
+    out
   }
 
   /** Objective Σ |P_k|·var(P_k) of a full segmentation scheme (Problem 1). */
@@ -320,10 +314,51 @@ object KSegmentation {
     */
   final case class DPResult(curve: Vector[Double], schemes: Vector[Option[SegScheme]])
 
-  /** Runs the DP over the cut positions `positions` (sorted, distinct).
-    * `cost(p(b), p(a))` is read exactly once for each pair the DP may use:
-    * every pair within `maxSegLen`, or, when kMax = 1, only those from the
-    * first position.
+  /** The cells a DP over the cut positions `positions` (sorted, distinct)
+    * reads: each pair (p(b), p(a)), b < a, with p(a) − p(b) ≤ maxSegLen, or,
+    * when at most one segment is asked for, only the pairs from p(0). Cell k
+    * is the segment [start(k), end(k)]; cells are listed by start, then by
+    * end, so the cells from p(b) are contiguous.
+    */
+  final class Cells(positions: Vector[Int], kMax: Int, maxSegLen: Int) {
+    require(positions.size >= 2 && positions.head >= 0 && positions == positions.sorted &&
+      positions.distinct == positions, "bad candidate positions")
+    private[KSegmentation] val p = positions.toArray
+    /** The most segments a DP over these cells reports. */
+    val kCap: Int = math.min(kMax, p.length - 1)
+    require(kCap >= 1, "need at least one segment")
+    // The cells from p(b) are rowStart(b) until rowStart(b + 1), ending at
+    // p(b + 1), p(b + 2), …; positions ascend, so they stop at the first end
+    // past the cap.
+    private[KSegmentation] val rowStart = new Array[Int]((if (kCap >= 2) p.length - 1 else 1) + 1)
+    for (b <- 0 until rowStart.length - 1) {
+      var a = b + 1
+      while (a < p.length && p(a) - p(b) <= maxSegLen) a += 1
+      rowStart(b + 1) = rowStart(b) + a - b - 1
+    }
+    def size: Int = rowStart.last
+    // The start rank b of each cell.
+    private val rowOf = new Array[Int](size)
+    for (b <- 0 until rowStart.length - 1) java.util.Arrays.fill(rowOf, rowStart(b), rowStart(b + 1), b)
+    // Each position's rank in p, −1 for the others.
+    private val rank = new Array[Int](p.last + 1)
+    java.util.Arrays.fill(rank, -1)
+    for (b <- p.indices) rank(p(b)) = b
+
+    def start(k: Int): Int = p(rowOf(k))
+    def end(k: Int): Int = p(k - rowStart(rowOf(k)) + rowOf(k) + 1)
+
+    /** The cell [i, j], or −1 when it is not one. */
+    def indexOf(i: Int, j: Int): Int =
+      if (i < 0 || i >= j || j >= rank.length || rank(i) < 0 || rank(j) < 0 || rank(i) >= rowStart.length - 1) -1
+      else {
+        val k = rowStart(rank(i)) + rank(j) - rank(i) - 1
+        if (k < rowStart(rank(i) + 1)) k else -1
+      }
+  }
+
+  /** Runs the DP over `positions` (see [[Cells]]), reading `cost(p(b), p(a))`
+    * exactly once for each cell.
     */
   def dp(
       cost: (Int, Int) => Double,
@@ -331,96 +366,52 @@ object KSegmentation {
       kMax: Int,
       maxSegLen: Option[Int] = None,
   ): DPResult = {
-    require(positions.size >= 2 && positions == positions.sorted && positions.distinct == positions,
-      s"bad candidate positions")
-    val p = positions.toArray
+    val cells = new Cells(positions, kMax, maxSegLen.getOrElse(Int.MaxValue))
+    val w = new Array[Double](cells.size)
+    for (k <- w.indices) w(k) = cost(cells.start(k), cells.end(k))
+    dp(cells, w)
+  }
+
+  /** Runs the DP over `cells`, with `w(k)` the cost of cell k. */
+  def dp(cells: Cells, w: Array[Double]): DPResult = {
+    require(w.length == cells.size, s"${w.length} costs for ${cells.size} cells")
+    val p = cells.p
     val np = p.length
-    val kCap = math.min(kMax, np - 1)
-    require(kCap >= 1, "need at least one segment")
-    // A segment ending at p(a) may start at p(b) only for b ≥ firstStart(a),
-    // the first position within maxSegLen of p(a) (nondecreasing in a).
-    val cap = maxSegLen.getOrElse(Int.MaxValue)
-    val firstStart = new Array[Int](np)
-    var a = 0
-    var lo = 0
-    while (a < np) {
-      while (lo < a && p(a) - p(lo) > cap) lo += 1
-      firstStart(a) = lo
-      a += 1
-    }
-
-    // Each cell the DP may use, read once: row a holds cost(p(b), p(a)) for
-    // b ∈ [firstStart(a), a) at rowStart(a) + b − firstStart(a); with one
-    // segment at most, only the cells from p(0).
-    val rowStart = new Array[Int](np + 1)
-    a = 0
-    while (a < np) {
-      val len = if (kCap >= 2) a - firstStart(a) else if (a > 0 && firstStart(a) == 0) 1 else 0
-      rowStart(a + 1) = rowStart(a) + len
-      a += 1
-    }
-    val w = new Array[Double](rowStart(np))
-    a = 1
-    while (a < np) {
-      var c = rowStart(a)
-      var b = firstStart(a)
-      while (c < rowStart(a + 1)) { w(c) = cost(p(b), p(a)); b += 1; c += 1 }
-      a += 1
-    }
-
+    val kCap = cells.kCap
+    val rowStart = cells.rowStart
     val inf = Double.PositiveInfinity
     // d(k)(a): min total weighted variance covering [p(0), p(a)] with k segments.
-    val d = Array.fill(kCap + 1)(Array.fill(np)(inf))
-    val from = Array.fill(kCap + 1)(Array.fill(np)(-1))
-    a = 1
-    while (a < np) {
-      if (firstStart(a) == 0) { d(1)(a) = w(rowStart(a)); from(1)(a) = 0 }
-      a += 1
-    }
-    var k = 2
-    while (k <= kCap) {
+    val d = Array.fill(kCap + 1) { val r = new Array[Double](np); java.util.Arrays.fill(r, inf); r }
+    val from = Array.fill(kCap + 1) { val r = new Array[Int](np); java.util.Arrays.fill(r, -1); r }
+    for (c <- 0 until rowStart(1)) { d(1)(c + 1) = w(c); from(1)(c + 1) = 0 }
+    // Layer k pushes each finite d(k − 1)(b) along the cells from p(b); b
+    // ascends and only a strictly smaller sum wins, so each end keeps its
+    // smallest arg-min b.
+    for (k <- 2 to kCap) {
       val prev = d(k - 1)
-      a = k // need at least k segments worth of positions before p(a)
-      while (a < np) {
-        val row = rowStart(a) - firstStart(a) // w(row + b) = cost(p(b), p(a))
-        var b = math.max(k - 1, firstStart(a))
-        var best = inf
-        var arg = -1
-        while (b < a) {
-          if (prev(b) < inf) {
-            val v = prev(b) + w(row + b)
-            if (v < best) { best = v; arg = b }
+      val cur = d(k)
+      val arg = from(k)
+      var b = k - 1
+      while (b < rowStart.length - 1) {
+        val pb = prev(b)
+        if (pb < inf) {
+          var c = rowStart(b)
+          var a = b + 1
+          while (c < rowStart(b + 1)) {
+            val v = pb + w(c)
+            if (v < cur(a)) { cur(a) = v; arg(a) = b }
+            c += 1; a += 1
           }
-          b += 1
         }
-        d(k)(a) = best; from(k)(a) = arg
-        a += 1
+        b += 1
       }
-      k += 1
     }
 
+    // Backtracking from p(last) through k back-pointers reaches p(0).
     val last = np - 1
-    val curve = Vector.newBuilder[Double]
-    val schemes = Vector.newBuilder[Option[SegScheme]]
-    k = 1
-    while (k <= kCap) {
-      if (d(k)(last) < inf) {
-        curve += d(k)(last)
-        val cuts = scala.collection.mutable.ArrayBuffer[Int](p(last))
-        var kk = k
-        var cur = last
-        while (kk >= 1) {
-          val b = from(kk)(cur)
-          cuts += p(b)
-          cur = b; kk -= 1
-        }
-        schemes += Some(SegScheme(cuts.reverse.toVector))
-      } else {
-        curve += inf
-        schemes += None
-      }
-      k += 1
-    }
-    DPResult(curve.result(), schemes.result())
+    def scheme(k: Int) = SegScheme(Iterator.iterate((k, last)) { case (kk, a) => (kk - 1, from(kk)(a)) }
+      .take(k + 1).map(e => p(e._2)).toVector.reverse)
+    val ks = (1 to kCap).toVector
+    DPResult(ks.map(k => if (d(k)(last) < inf) d(k)(last) else inf), ks.map(k => Option.when(d(k)(last) < inf)(scheme(k))))
   }
 }

@@ -18,14 +18,16 @@ object Sketch {
   /** Sketch positions (sorted, endpoints 0 and n−1 always included). */
   def select(costs: SegmentCosts): Vector[Int] = {
     val n = costs.cube.n
-    val l = maxSegLen(n)
-    val s = sketchSize(n)
-    val all = (0 until n).toVector
-    val res = KSegmentation.dp(costs.cost, all, kMax = s, maxSegLen = Some(l))
-    // The largest feasible k ≤ |S| (small k is infeasible under the length
-    // cap; the target |S| itself is feasible because |S|·L ≥ 3(n−1)).
-    val k = res.curve.lastIndexWhere(_.isFinite) + 1
-    require(k >= 1, s"sketch selection found no feasible segmentation (n=$n, L=$l, S=$s)")
-    res.schemes(k - 1).get.cuts
+    cuts(KSegmentation.dp(costs.cost, (0 until n).toVector, kMax = sketchSize(n), maxSegLen = Some(maxSegLen(n))))
+  }
+
+  /** The sketch from phase I's DP: the cuts of its largest feasible k ≤ |S|
+    * (small k is infeasible under the length cap; the target |S| itself is
+    * feasible because |S|·L ≥ 3(n−1)).
+    */
+  def cuts(phaseI: KSegmentation.DPResult): Vector[Int] = {
+    val k = phaseI.curve.lastIndexWhere(_.isFinite) + 1
+    require(k >= 1, s"sketch selection found no feasible segmentation among ${phaseI.curve.size} segment counts")
+    phaseI.schemes(k - 1).get.cuts
   }
 }

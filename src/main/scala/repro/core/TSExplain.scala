@@ -2,10 +2,15 @@ package repro.core
 
 import java.util.concurrent.ForkJoinPool
 import java.util.stream.IntStream
+import repro.core.KSegmentation.Cells
 
 /** Pipeline configuration (paper defaults: m = 3, β̄ = 3, K ≤ 20, tse).
   * Values no run can use are rejected here, with an
   * `IllegalArgumentException` naming the field.
+  *
+  * `kMax` bounds the K-variance curve and `fixedK` picks K instead of the
+  * elbow. Both are capped at the candidate cut positions − 1: n − 1, or
+  * |S| − 1 with sketching (O2). A larger value gives the capped result.
   */
 final case class TSConfig(
     m: Int = 3,
@@ -113,72 +118,62 @@ object TSExplain {
     val precomputeMs = (System.nanoTime() - t0) / 1e6
     val n = cube.n
 
-    // Top-m lists indexed i·n + j. Before each DP run, the segments it will
-    // read are solved in one batch, so no segment is solved twice.
-    val table = new Array[TopIds](n * n)
-    val requested = new java.util.BitSet(n * n)
+    // Each DP run's cells come with their top lists, in cell order. A unit's
+    // list, or one an earlier run solved, is reused; the rest are solved in
+    // one batch per run, with every unit on the first. So no segment is
+    // solved twice. The all-pair metrics read unit lists only.
+    val allPair = cfg.metric == VarianceMetric.AllPair || cfg.metric == VarianceMetric.SAllPair
     var topNanos = 0L
-    def solveTops(segments: Iterator[Segment]): Unit = {
-      val batch = Vector.newBuilder[Segment]
-      for (s <- segments) {
-        val c = s.i * n + s.j
-        if (!requested.get(c)) { requested.set(c); batch += s }
-      }
-      val todo = batch.result()
-      if (todo.nonEmpty) {
+    def solve(segments: IndexedSeq[Segment]): Array[TopIds] =
+      if (segments.isEmpty) Array.empty
+      else {
         val s = System.nanoTime()
-        val got = tops(cube, cfg, todo)
+        val got = tops(cube, cfg, segments)
         topNanos += System.nanoTime() - s
-        var k = 0
-        while (k < todo.size) { table(todo(k).i * n + todo(k).j) = got(k); k += 1 }
+        got
       }
-    }
-    val top: Segment => TopIds = s => table(s.i * n + s.j)
-    val costs = new SegmentCosts(cube, cfg.metric, top)
-
-    // The cells a DP over `positions` reads. With finite costs and a length
-    // cap that every position can reach (all positions under L ≥ 2, or no
-    // cap), that is each pair within the cap; with K ≤ 1 only those starting
-    // at the first position.
-    def dpCells(positions: Vector[Int], kMax: Int, maxSegLen: Int): Vector[Segment] = {
-      val p = positions.toArray
-      val starts = if (math.min(kMax, p.length - 1) >= 2) p.length - 1 else 1
-      val cells = Vector.newBuilder[Segment]
-      var b = 0
-      while (b < starts) {
-        // Positions ascend, so the pairs from p(b) end at the first one past the cap.
-        var a = b + 1
-        while (a < p.length && p(a) - p(b) <= maxSegLen) { cells += Segment(p(b), p(a)); a += 1 }
-        b += 1
+    var unitLists: Array[TopIds] = null
+    def listsOf(cells: Cells, earlier: (Int, Int) => TopIds): Array[TopIds] = {
+      val lists = new Array[TopIds](cells.size)
+      val todo = Array.newBuilder[Int]
+      for (k <- 0 until cells.size if !allPair && cells.end(k) - cells.start(k) > 1) {
+        lists(k) = earlier(cells.start(k), cells.end(k))
+        if (lists(k) == null) todo += k
       }
-      cells.result()
+      val fresh = todo.result()
+      val units = if (unitLists == null) n - 1 else 0
+      val got = solve(Vector.tabulate(units)(x => Segment(x, x + 1)) ++ fresh.map(k => Segment(cells.start(k), cells.end(k))))
+      if (units > 0) unitLists = got.take(units)
+      for (t <- fresh.indices) lists(fresh(t)) = got(units + t)
+      for (k <- 0 until cells.size if cells.end(k) - cells.start(k) == 1) lists(k) = unitLists(cells.start(k))
+      lists
     }
-    // Before each DP run: solve the lists `SegmentCosts` reads for it, every
-    // unit segment and, except for the all-pair metrics (which compare unit
-    // lists only), every cell; then fill those cells' costs.
-    val unitsOnly = cfg.metric == VarianceMetric.AllPair || cfg.metric == VarianceMetric.SAllPair
-    def prepare(positions: Vector[Int], kMax: Int, maxSegLen: Int = n): Unit = {
-      val cells = dpCells(positions, kMax, maxSegLen)
-      val units = Iterator.range(0, n - 1).map(x => Segment(x, x + 1))
-      solveTops(if (unitsOnly) units else units ++ cells.iterator)
-      costs.fill(cells.iterator)
-    }
+    // `values` reads the unit lists through topFn.
+    val costs = new SegmentCosts(cube, cfg.metric, s => unitLists(s.i))
 
     val t1 = System.nanoTime()
     val all = (0 until n).toVector
+    var earlier: (Int, Int) => TopIds = (_, _) => null
     val candidates: Vector[Int] =
       if (cfg.sketch) {
-        prepare(all, Sketch.sketchSize(n), Sketch.maxSegLen(n))
-        Sketch.select(costs)
+        val band = new Cells(all, Sketch.sketchSize(n), Sketch.maxSegLen(n))
+        val bandLists = listsOf(band, earlier)
+        earlier = (i, j) => { val k = band.indexOf(i, j); if (k < 0) null else bandLists(k) }
+        Sketch.cuts(KSegmentation.dp(band, costs.values(band, bandLists)))
       } else all
-    val kCap = math.min(cfg.kMax, candidates.size - 1)
-    prepare(candidates, kCap)
-    val dpRes = KSegmentation.dp(costs.cost, candidates, kCap)
+    val cells = new Cells(candidates, cfg.kMax, n)
+    val lists = listsOf(cells, earlier)
+    val dpRes = KSegmentation.dp(cells, costs.values(cells, lists))
     val curve = dpRes.curve
-    val k = cfg.fixedK.map(math.min(_, kCap)).getOrElse(Elbow.select(curve))
+    val k = cfg.fixedK.map(math.min(_, cells.kCap)).getOrElse(Elbow.select(curve))
     val scheme = dpRes.schemes(k - 1).get
-    solveTops(scheme.segments.iterator) // new only for the all-pair metrics
-    val perSegment = scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, top(s)))
+    // The chosen segments are cells of the last run; only the all-pair
+    // metrics have not solved them yet.
+    val chosen = scheme.segments.map(s => cells.indexOf(s.i, s.j))
+    val unsolved = chosen.filter(lists(_) == null)
+    val got = solve(unsolved.map(c => Segment(cells.start(c), cells.end(c))))
+    for (t <- unsolved.indices) lists(unsolved(t)) = got(t)
+    val perSegment = scheme.segments.zip(chosen).map { case (s, c) => s -> CascadingAnalysts.pretty(cube, lists(c)) }
     val stageNanos = System.nanoTime() - t1
     val caMs = topNanos / 1e6
     val ksegMs = math.max(0.0, stageNanos / 1e6 - caMs)

@@ -17,8 +17,10 @@ import repro.core._
   */
 object SparkTSExplain {
 
-  /** Distributed module (b): top-m lists of `segments`, in segment order,
-    * solved on executors with the cube broadcast once.
+  /** Distributed module (b): top-m lists of `segments`, in segment order.
+    * The cube and the segments' endpoints are broadcast once; each task
+    * solves one slice of segment indices, and the broadcast is destroyed
+    * once the lists are collected.
     */
   def topIdsPerSegment(
       spark: SparkSession,
@@ -26,22 +28,18 @@ object SparkTSExplain {
       segments: Seq[Segment],
       cfg: TSConfig,
   ): Array[TopIds] = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(cube)
-    val solved = spark
-      .createDataset(segments.zipWithIndex.map { case (s, k) => (k, s.i, s.j) })
-      .repartition(math.max(1, math.min(64, segments.size / 64)))
-      .mapPartitions { it =>
-        val solve = TopLists.solver(bc.value, cfg)
-        it.map { case (k, i, j) =>
-          val t = solve(Segment(i, j))
-          (k, t.ids, t.gammas, t.taus, t.best)
-        }
-      }
-      .collect()
-    val out = new Array[TopIds](segments.size)
-    for ((k, ids, gs, ts, best) <- solved) out(k) = TopIds(ids, gs, ts, best)
-    out
+    val sc = spark.sparkContext
+    val bc = sc.broadcast((cube, segments.map(_.i).toArray, segments.map(_.j).toArray))
+    val slices = math.max(1, math.min(64, segments.size / 64))
+    try
+      sc.parallelize(0 until slices, slices).flatMap { b =>
+        val (c, is, js) = bc.value
+        val solve = TopLists.solver(c, cfg)
+        val from = (b.toLong * is.length / slices).toInt
+        val until = ((b + 1).toLong * is.length / slices).toInt
+        (from until until).iterator.map(k => solve(Segment(is(k), js(k))))
+      }.collect()
+    finally bc.destroy()
   }
 
   /** The [[TopLists]] source that solves each batch with [[topIdsPerSegment]]. */

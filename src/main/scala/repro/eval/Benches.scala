@@ -233,19 +233,28 @@ object Benches {
 
   // -------------------------------------------------- Fig 17 (scalability)
 
-  final case class ScaleRow(n: Int, vanillaMs: Option[Double], optMs: Double)
+  /** `optAllocMb`: the MB the O1+O2 query allocated, over all threads. */
+  final case class ScaleRow(n: Int, vanillaMs: Option[Double], optMs: Double, optAllocMb: Double)
+
+  /** Bytes allocated so far by the JVM's live threads; a thread that ends
+    * takes its count with it.
+    */
+  private def allocatedBytes(): Long = {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    mx.getThreadAllocatedBytes(mx.getAllThreadIds).iterator.filter(_ > 0).sum
+  }
 
   def scalability(lengths: Seq[Int], vanillaCap: Int): Seq[ScaleRow] =
     lengths.map { n =>
       val ds = SyntheticGen.generate(n = n, snrDb = 35, seed = 1234 + n)
-      def run(cfg: TSConfig): Double = {
-        val t0 = System.nanoTime()
+      def run(cfg: TSConfig): (Double, Double) = {
+        val (t0, b0) = (System.nanoTime(), allocatedBytes())
         TSExplain.explain(ds.cube, cfg)
-        (System.nanoTime() - t0) / 1e6
+        ((System.nanoTime() - t0) / 1e6, (allocatedBytes() - b0) / 1e6)
       }
-      val v = if (n <= vanillaCap) Some(run(TSConfig())) else None
-      val o = run(TSConfig(filterRatio = Some(0.001)).withAllOpts)
-      ScaleRow(n, v, o)
+      val v = if (n <= vanillaCap) Some(run(TSConfig())._1) else None
+      val (ms, mb) = run(TSConfig(filterRatio = Some(0.001)).withAllOpts)
+      ScaleRow(n, v, ms, mb)
     }
 
   // ---------------------------------------------------------- formatting

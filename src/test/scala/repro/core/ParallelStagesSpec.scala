@@ -7,7 +7,8 @@ import scala.util.Random
 
 /** The driver's parallel stages and hot loops: the block-parallel
   * [[TopLists.Driver]], the lookup cost kernel of [[SegmentCosts]], its
-  * parallel [[SegmentCosts.fill]], and the DP's one-read cost array.
+  * parallel [[SegmentCosts.values]], the DP's cell list
+  * ([[KSegmentation.Cells]]) and the DP over it.
   */
 class ParallelStagesSpec extends AnyFunSuite {
 
@@ -48,6 +49,9 @@ class ParallelStagesSpec extends AnyFunSuite {
     for (i <- 0 until n; j <- i + 1 until n) table(i * n + j) = ca.topIds(Segment(i, j))
     s => table(s.i * n + s.j)
   }
+
+  def sameBits(a: Double, b: Double): Boolean =
+    java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b)
 
   def allSegments(n: Int): Vector[Segment] = for (i <- (0 until n).toVector; j <- i + 1 until n) yield Segment(i, j)
 
@@ -100,17 +104,24 @@ class ParallelStagesSpec extends AnyFunSuite {
     }
   }
 
-  test("fill then cost equals the lazy cost, bit for bit, on every cell") {
+  /** Every pair of `positions` within `maxSegLen` as DP cells, with their lists. */
+  def cellsWithLists(positions: Vector[Int], maxSegLen: Int, top: Segment => TopIds): (KSegmentation.Cells, Array[TopIds]) = {
+    val cells = new KSegmentation.Cells(positions, positions.size, maxSegLen)
+    (cells, Array.tabulate(cells.size)(k => top(Segment(cells.start(k), cells.end(k)))))
+  }
+
+  test("values equals the lazy cost, bit for bit, on every cell") {
     val rnd = new Random(19)
     for (cube <- Seq(flatCube(rnd, n = 30), wideCube(rnd, n = 24))) {
       val top = topTable(cube)
+      val (cells, lists) = cellsWithLists((0 until cube.n).toVector, cube.n, top)
+      assert(cells.size == allSegments(cube.n).size)
       for (metric <- VarianceMetric.all) {
         val lazyCosts = new SegmentCosts(cube, metric, top)
-        val filled = new SegmentCosts(cube, metric, top)
-        filled.fill(allSegments(cube.n).iterator)
-        for (s <- allSegments(cube.n)) {
-          val (a, b) = (filled.cost(s.i, s.j), lazyCosts.cost(s.i, s.j))
-          assert(java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b), s"${metric.name} $s")
+        val values = new SegmentCosts(cube, metric, top).values(cells, lists)
+        for (k <- 0 until cells.size) {
+          val s = Segment(cells.start(k), cells.end(k))
+          assert(sameBits(values(k), lazyCosts.cost(s.i, s.j)), s"${metric.name} $s")
         }
       }
     }
@@ -154,10 +165,7 @@ class ParallelStagesSpec extends AnyFunSuite {
     }
   }
 
-  def sameBits(a: Double, b: Double): Boolean =
-    java.lang.Double.doubleToRawLongBits(a) == java.lang.Double.doubleToRawLongBits(b)
-
-  test("fill (band, then sketch pairs) and the lazy cost equal the per-object kernel, bit for bit") {
+  test("band and sketch values and lazy costs equal the per-object kernel") {
     val rnd = new Random(31)
     val maxLen = 4
     for ((cube, flat) <- Seq(flatCube(rnd, n = 40) -> true, wideCube(rnd, n = 30) -> false)) {
@@ -168,27 +176,29 @@ class ParallelStagesSpec extends AnyFunSuite {
         assert(allSegments(n).exists(s => (0 until n - 1).exists(x =>
           top(s).ids.exists(id => cube.tau(id, Segment(x, x + 1)) == 0))), "a listed explanation with τ = 0 on a unit")
       }
-      val band = allSegments(n).filter(_.length <= maxLen)
+      val band = cellsWithLists((0 until n).toVector, maxLen, top)
       val positions = (0 +: (1 until n - 1).filter(_ => rnd.nextDouble() < 0.6) :+ (n - 1)).toVector
-      val pairs = for (b <- positions.indices.toVector; a <- b + 1 until positions.size) yield Segment(positions(b), positions(a))
-      // The second fill computes the pairs outside the band, in Blocks.run's
-      // blocks; some centroid list has cells in two of them.
-      val todo = pairs.filter(_.length > maxLen)
-      val blocks = math.min(todo.size / Blocks.MinSize, 4 * (java.util.concurrent.ForkJoinPool.getCommonPoolParallelism + 1))
+      val pairs = cellsWithLists(positions, n, top)
+      // The second call computes the pairs in Blocks.run's blocks; some
+      // centroid list has cells in two of them.
+      val size = pairs._1.size
+      val blocks = math.min(size / Blocks.MinSize, 4 * (java.util.concurrent.ForkJoinPool.getCommonPoolParallelism + 1))
       assert(blocks >= 2, "the pairs span several blocks")
-      val blockOf = todo.indices.map(k => (0 until blocks).indexWhere(b => k < (b + 1).toLong * todo.size / blocks))
-      val listBlocks = todo.indices.groupBy(k => (top(todo(k)).ids.toSeq, top(todo(k)).taus.toSeq)).values
+      val blockOf = (0 until size).map(k => (0 until blocks).indexWhere(b => k < (b + 1).toLong * size / blocks))
+      val listBlocks = (0 until size).groupBy(k => (pairs._2(k).ids.toSeq, pairs._2(k).taus.toSeq)).values
       assert(listBlocks.exists(ks => ks.map(blockOf).distinct.size > 1), "a centroid list cut apart by a block split")
       for (metric <- VarianceMetric.all) {
         val ref = perObjectVar(cube, metric, top) _
-        val filled = new SegmentCosts(cube, metric, top)
-        filled.fill(band.iterator)
-        filled.fill(pairs.iterator)
+        val costs = new SegmentCosts(cube, metric, top)
         val lazyCosts = new SegmentCosts(cube, metric, top)
-        for (s <- band ++ pairs) {
-          val want = ref(s.i, s.j)
-          assert(sameBits(filled.cost(s.i, s.j), want), s"fill ${metric.name} $s")
-          assert(sameBits(lazyCosts.cost(s.i, s.j), want), s"lazy ${metric.name} $s")
+        for ((cells, lists) <- Seq(band, pairs)) {
+          val values = costs.values(cells, lists)
+          for (k <- 0 until cells.size) {
+            val s = Segment(cells.start(k), cells.end(k))
+            val want = ref(s.i, s.j)
+            assert(sameBits(values(k), want), s"values ${metric.name} $s")
+            assert(sameBits(lazyCosts.cost(s.i, s.j), want), s"lazy ${metric.name} $s")
+          }
         }
       }
     }
@@ -250,6 +260,35 @@ class ParallelStagesSpec extends AnyFunSuite {
         assert(reads.keySet == allowed.toSet, what)
         assert(reads.values.forall(_ == 1), what)
       }
+    }
+  }
+
+  test("Cells lists in-cap pairs by start, then end; indexOf finds each one") {
+    val rnd = new Random(41)
+    for (trial <- 1 to 300) {
+      val n = 2 + rnd.nextInt(30)
+      val positions = (0 until n).filter(_ => rnd.nextDouble() < 0.7).toVector
+      if (positions.size >= 2) {
+        val kMax = 1 + rnd.nextInt(positions.size + 1)
+        val cap = 1 + rnd.nextInt(n)
+        val what = s"trial $trial: positions $positions, kMax $kMax, cap $cap"
+        val cells = new KSegmentation.Cells(positions, kMax, cap)
+        val starts = if (math.min(kMax, positions.size - 1) >= 2) positions.size - 1 else 1
+        val want = for (b <- 0 until starts; a <- b + 1 until positions.size if positions(a) - positions(b) <= cap)
+          yield (positions(b), positions(a))
+        assert((0 until cells.size).map(k => (cells.start(k), cells.end(k))) == want, what)
+        for (k <- 0 until cells.size) assert(cells.indexOf(cells.start(k), cells.end(k)) == k, what)
+        val others = for (i <- -1 to n + 1; j <- -1 to n + 1 if !want.contains((i, j))) yield (i, j)
+        assert(others.forall { case (i, j) => cells.indexOf(i, j) == -1 }, what)
+        val w = Array.fill(cells.size)(rnd.nextInt(4) * 0.25)
+        assert(KSegmentation.dp(cells, w) == KSegmentation.dp((i, j) => w(cells.indexOf(i, j)), positions, kMax, Some(cap)), what)
+      }
+    }
+    for (cap <- 1 to 5; kMax <- Seq(1, 2, 9)) {
+      val cells = new KSegmentation.Cells((0 until 10).toVector, kMax, cap)
+      assert(cells.indexOf(0, cap) >= 0 && cells.indexOf(0, cap + 1) == -1, s"cap $cap, kMax $kMax")
+      if (kMax >= 2) assert(cells.indexOf(3, 3 + cap) >= 0 && cells.indexOf(3, 4 + cap) == -1, s"cap $cap, kMax $kMax")
+      else assert(cells.indexOf(3, 4) == -1, s"cap $cap, kMax 1")
     }
   }
 

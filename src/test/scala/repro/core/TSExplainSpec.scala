@@ -113,6 +113,16 @@ class TSExplainSpec extends AnyFunSuite {
     assert(res.explanation.scheme.k == math.min(20, ds.cube.n - 1))
   }
 
+  test("kMax past the series is capped at the candidate positions − 1, with and without O2") {
+    val cube = SyntheticGen.generate(n = 30, snrDb = 40, seed = 19).cube
+    for (sketch <- Seq(false, true)) {
+      val capped = TSExplain.explain(cube, TSConfig(kMax = cube.n - 1, sketch = sketch))
+      assert(capped.explanation.kVarianceCurve.size == capped.candidates.size - 1, s"sketch $sketch")
+      assert(TSExplain.explain(cube, TSConfig(kMax = 10 * cube.n, sketch = sketch)).explanation == capped.explanation,
+        s"sketch $sketch")
+    }
+  }
+
   test("render produces one row per segment") {
     val ds = SyntheticGen.generate(n = 40, snrDb = 40, seed = 16)
     val res = TSExplain.explain(ds.cube, TSConfig(fixedK = Some(3)))
@@ -161,7 +171,7 @@ class TSExplainSpec extends AnyFunSuite {
   }
 
   lazy val synth = SyntheticGen.generate(n = 100, snrDb = 40, seed = 18).cube
-  // ε > 200, so O1 guesses on sub-cubes instead of delegating to full CA.
+  // ε > 200, so O1's guesses run CA with most ids masked out (m̄ < ε).
   lazy val liquor = RealWorldSim.liquor().cube.slice(0, 40)
 
   lazy val pipelineCases: Seq[(String, ExplCube, TSConfig)] = Seq(

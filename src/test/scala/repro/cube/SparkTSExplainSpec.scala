@@ -27,7 +27,7 @@ class SparkTSExplainSpec extends SparkSpec {
       assert(math.abs(t.best(3) - ca.topIds(seg).best(3)) < 1e-9)
   }
 
-  // ε > 200, so O1 guesses on sub-cubes instead of delegating to full CA.
+  // ε > 200, so O1's guesses run CA with most ids masked out (m̄ < ε).
   lazy val liquor = RealWorldSim.liquor().cube.slice(0, 30)
 
   def sameAsDriver(cube: ExplCube, cfg: TSConfig): Unit = {
