@@ -7,7 +7,7 @@ package repro.core
   * [p_i, p_j] is the partition itself. Top-explanation lists are supplied by
   * `topFn` (full CA, guess-and-verify CA, …) and should be cached by the
   * caller. [[values]] computes the costs of a DP run's cells, given their
-  * lists; the lazy [[cost]] memoizes costs read one at a time. This class
+  * lists, and [[cost]] one cell at a time; neither memoizes. This class
   * also keeps each unit's self-DCG and the pairwise object distances the
   * all-pair metrics share.
   *
@@ -27,8 +27,7 @@ final class SegmentCosts(
     topFn: Segment => TopIds,
 ) {
   private val ndcg = new Ndcg(cube)
-  private val n = cube.n
-  private val nUnits = n - 1
+  private val nUnits = cube.n - 1
   // The two directions of Eq. 6: how well an object's list explains the
   // centroid (all Eq. 6 metrics but dist2) and how well the centroid's list
   // explains an object (all but dist1).
@@ -37,7 +36,7 @@ final class SegmentCosts(
   private val allPair = metric == VarianceMetric.AllPair || metric == VarianceMetric.SAllPair
 
   // The unit segments (objects), built once: a fresh Segment per object
-  // read in weightedVar's loop allocates unless the JIT elides it.
+  // read in a cost loop allocates unless the JIT elides it.
   private val units: Array[Segment] = Array.tabulate(nUnits)(x => Segment(x, x + 1))
 
   private def unitTop(x: Int): TopIds = topFn(units(x))
@@ -116,7 +115,7 @@ final class SegmentCosts(
     val toObjectTerm = new Array[Double](if (toObject) nUnits else 0)
   }
 
-  // Computed on first use by the lazy path, which runs on the caller's thread.
+  // Computed on first use by `cost`, which runs on the caller's thread.
   private lazy val callerScratch = new Scratch(unitTables)
 
   /** Writes NDCG(unit x, E*(centroid)), the centroid→object term of Eq. 6,
@@ -182,10 +181,11 @@ final class SegmentCosts(
   }
 
   /** |P|·var(P) for the partition spanning indices [i, j] (Eq. 7 weighted by
-    * the object count, which is what the DP objective of Problem 1 sums).
-    * Not memoized; like [[cost]], call it from one thread at a time.
+    * the object count, which is what the DP objective of Problem 1 sums):
+    * the kernel of [[values]], with its operations in its order. Not
+    * memoized; call it from one thread at a time.
     */
-  def weightedVar(i: Int, j: Int): Double =
+  def cost(i: Int, j: Int): Double =
     if (allPair) allPairVar(i, j)
     else {
       val ctop = topFn(Segment(i, j))
@@ -194,27 +194,11 @@ final class SegmentCosts(
       eq6Var(i, j, ctop, sc)
     }
 
-  // weightedVar(i, j) at i·n + j, NaN where not yet computed; allocated on
-  // the first lazy read.
-  private lazy val costMemo = {
-    val memo = new Array[Double](n * n)
-    java.util.Arrays.fill(memo, Double.NaN)
-    memo
-  }
-
-  /** Memoized [[weightedVar]]. */
-  def cost(i: Int, j: Int): Double = {
-    val c = i * n + j
-    var v = costMemo(c)
-    if (v.isNaN) { v = weightedVar(i, j); costMemo(c) = v }
-    v
-  }
-
   /** Writes the costs of cells `from until until` into `out`. For the Eq. 6
     * metrics the cells are taken group by group, a group being the cells
-    * with equal centroid lists in cell order. Within a run of ascending
-    * starts, as cells come, a group computes its centroid→object terms once
-    * for each object some cell of it covers.
+    * with equal centroid lists in cell order, so by ascending start. A group
+    * computes its centroid→object terms once for each object some cell of
+    * it covers.
     */
   private def valuesBlock(cells: KSegmentation.Cells, lists: Array[TopIds], from: Int, until: Int,
       tables: UnitTables, out: Array[Double]): Unit =
@@ -237,8 +221,7 @@ final class SegmentCosts(
       }
       val sc = new Scratch(tables)
       var run = -1 // the group of the current run
-      var start = 0 // the start of its last cell
-      var covered = 0 // its objects in [start, covered) hold their terms
+      var covered = 0 // its objects from its last cell's start until covered hold their terms
       var r = 0
       while (r < size) {
         val k = order(r)
@@ -246,8 +229,7 @@ final class SegmentCosts(
         val j = cells.end(k)
         val ctop = lists(k)
         if (toObject) {
-          if (group(k - from) != run || i < start) { run = group(k - from); covered = 0 }
-          start = i
+          if (group(k - from) != run) { run = group(k - from); covered = 0 }
           if (j > covered) { toObjectTerms(ctop, math.max(i, covered), j, sc); covered = j }
         }
         out(k) = eq6Var(i, j, ctop, sc)
@@ -310,15 +292,18 @@ object KSegmentation {
   /** `curve(k-1)` = D(n, k) and `schemes(k-1)` = the optimal k-segmentation,
     * for k = 1..kMax (all collected from one DP run, Section 6). Entries are
     * +∞ / None when no k-segmentation satisfies the max-segment-length
-    * constraint (e.g. K = 1 during sketch phase I).
+    * constraint (e.g. K = 1 during sketch phase I). [[dp]] backtracks a
+    * scheme when it is read.
     */
-  final case class DPResult(curve: Vector[Double], schemes: Vector[Option[SegScheme]])
+  final case class DPResult(curve: Vector[Double], schemes: IndexedSeq[Option[SegScheme]])
 
   /** The cells a DP over the cut positions `positions` (sorted, distinct)
     * reads: each pair (p(b), p(a)), b < a, with p(a) − p(b) ≤ maxSegLen, or,
     * when at most one segment is asked for, only the pairs from p(0). Cell k
     * is the segment [start(k), end(k)]; cells are listed by start, then by
-    * end, so the cells from p(b) are contiguous.
+    * end, so the cells from p(b) are contiguous. More cells than one array
+    * holds (Int.MaxValue − 8) is an `IllegalArgumentException`, raised
+    * before any table sized by the cells is allocated.
     */
   final class Cells(positions: Vector[Int], kMax: Int, maxSegLen: Int) {
     require(positions.size >= 2 && positions.head >= 0 && positions == positions.sorted &&
@@ -328,13 +313,20 @@ object KSegmentation {
     val kCap: Int = math.min(kMax, p.length - 1)
     require(kCap >= 1, "need at least one segment")
     // The cells from p(b) are rowStart(b) until rowStart(b + 1), ending at
-    // p(b + 1), p(b + 2), …; positions ascend, so they stop at the first end
-    // past the cap.
+    // p(b + 1), p(b + 2), … up to the first end past the cap. That end moves
+    // forward with b, so one pointer finds every row's.
     private[KSegmentation] val rowStart = new Array[Int]((if (kCap >= 2) p.length - 1 else 1) + 1)
-    for (b <- 0 until rowStart.length - 1) {
-      var a = b + 1
-      while (a < p.length && p(a) - p(b) <= maxSegLen) a += 1
-      rowStart(b + 1) = rowStart(b) + a - b - 1
+    locally {
+      var total = 0L
+      var a = 1
+      for (b <- 0 until rowStart.length - 1) {
+        a = math.max(a, b + 1)
+        while (a < p.length && p(a) - p(b) <= maxSegLen) a += 1
+        total += a - b - 1
+        rowStart(b + 1) = total.toInt
+      }
+      require(total <= Int.MaxValue - 8,
+        s"${p.length} candidate positions give $total DP cells, more than one array holds")
     }
     def size: Int = rowStart.last
     // The start rank b of each cell.
@@ -367,12 +359,12 @@ object KSegmentation {
       maxSegLen: Option[Int] = None,
   ): DPResult = {
     val cells = new Cells(positions, kMax, maxSegLen.getOrElse(Int.MaxValue))
-    val w = new Array[Double](cells.size)
-    for (k <- w.indices) w(k) = cost(cells.start(k), cells.end(k))
-    dp(cells, w)
+    dp(cells, Array.tabulate(cells.size)(k => cost(cells.start(k), cells.end(k))))
   }
 
-  /** Runs the DP over `cells`, with `w(k)` the cost of cell k. */
+  /** Runs the DP over `cells`, with `w(k)` the cost of cell k, keeping two
+    * rows of D, the curve and the back-pointers.
+    */
   def dp(cells: Cells, w: Array[Double]): DPResult = {
     require(w.length == cells.size, s"${w.length} costs for ${cells.size} cells")
     val p = cells.p
@@ -380,17 +372,24 @@ object KSegmentation {
     val kCap = cells.kCap
     val rowStart = cells.rowStart
     val inf = Double.PositiveInfinity
-    // d(k)(a): min total weighted variance covering [p(0), p(a)] with k segments.
-    val d = Array.fill(kCap + 1) { val r = new Array[Double](np); java.util.Arrays.fill(r, inf); r }
-    val from = Array.fill(kCap + 1) { val r = new Array[Int](np); java.util.Arrays.fill(r, -1); r }
-    for (c <- 0 until rowStart(1)) { d(1)(c + 1) = w(c); from(1)(c + 1) = 0 }
-    // Layer k pushes each finite d(k − 1)(b) along the cells from p(b); b
+    // prev(b) and cur(a): min total weighted variance covering [p(0), p(b)]
+    // with k − 1 segments and [p(0), p(a)] with k. Where cur(a) is finite,
+    // from(k − 1)(a) is the start rank of the last of those k. With no
+    // segments only p(0) is covered, at −0.0: the additive identity, so
+    // layer 1 copies its costs bit for bit.
+    var prev = new Array[Double](np)
+    var cur = new Array[Double](np)
+    java.util.Arrays.fill(cur, inf)
+    cur(0) = -0.0
+    val from = Array.fill(kCap)(new Array[Int](np))
+    val curve = new Array[Double](kCap)
+    // Layer k pushes each finite prev(b) along the cells from p(b); b
     // ascends and only a strictly smaller sum wins, so each end keeps its
     // smallest arg-min b.
-    for (k <- 2 to kCap) {
-      val prev = d(k - 1)
-      val cur = d(k)
-      val arg = from(k)
+    for (k <- 1 to kCap) {
+      val t = prev; prev = cur; cur = t
+      java.util.Arrays.fill(cur, inf)
+      val arg = from(k - 1)
       var b = k - 1
       while (b < rowStart.length - 1) {
         val pb = prev(b)
@@ -405,13 +404,18 @@ object KSegmentation {
         }
         b += 1
       }
+      curve(k - 1) = cur(np - 1)
     }
+    DPResult(curve.toVector, new Schemes(p, from, curve))
+  }
 
-    // Backtracking from p(last) through k back-pointers reaches p(0).
-    val last = np - 1
-    def scheme(k: Int) = SegScheme(Iterator.iterate((k, last)) { case (kk, a) => (kk - 1, from(kk)(a)) }
-      .take(k + 1).map(e => p(e._2)).toVector.reverse)
-    val ks = (1 to kCap).toVector
-    DPResult(ks.map(k => if (d(k)(last) < inf) d(k)(last) else inf), ks.map(k => Option.when(d(k)(last) < inf)(scheme(k))))
+  /** The optimal (k + 1)-segmentation at k, backtracked when read from
+    * p(last) through k + 1 back-pointers to p(0); None off the curve.
+    */
+  private final class Schemes(p: Array[Int], from: Array[Array[Int]], curve: Array[Double])
+      extends IndexedSeq[Option[SegScheme]] {
+    def length: Int = curve.length
+    def apply(k: Int): Option[SegScheme] = Option.when(curve(k) < Double.PositiveInfinity)(SegScheme(
+      Iterator.iterate((k, p.length - 1)) { case (kk, a) => (kk - 1, from(kk)(a)) }.take(k + 2).map(e => p(e._2)).toVector.reverse))
   }
 }

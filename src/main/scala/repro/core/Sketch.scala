@@ -15,15 +15,10 @@ object Sketch {
 
   def sketchSize(n: Int): Int = math.min(n - 1, math.max(2, (3.0 * n / maxSegLen(n)).toInt))
 
-  /** Sketch positions (sorted, endpoints 0 and n−1 always included). */
-  def select(costs: SegmentCosts): Vector[Int] = {
-    val n = costs.cube.n
-    cuts(KSegmentation.dp(costs.cost, (0 until n).toVector, kMax = sketchSize(n), maxSegLen = Some(maxSegLen(n))))
-  }
-
-  /** The sketch from phase I's DP: the cuts of its largest feasible k ≤ |S|
-    * (small k is infeasible under the length cap; the target |S| itself is
-    * feasible because |S|·L ≥ 3(n−1)).
+  /** The sketch from phase I's DP (sorted, endpoints 0 and n−1 always
+    * included): the cuts of its largest feasible k ≤ |S| (small k is
+    * infeasible under the length cap; the target |S| itself is feasible
+    * because |S|·L ≥ 3(n−1)).
     */
   def cuts(phaseI: KSegmentation.DPResult): Vector[Int] = {
     val k = phaseI.curve.lastIndexWhere(_.isFinite) + 1

@@ -1,11 +1,13 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
 /** Randomized cross-cutting invariants over the core pipeline pieces —
-  * seeded loops standing in for property-based tests (scalatest's scalacheck
-  * bridge is not on the classpath).
+  * seeded loops, and scalacheck properties run through `Test.check`
+  * (scalatest's scalacheck bridge is not on the classpath).
   */
 class InvariantsSpec extends AnyFunSuite {
 
@@ -160,5 +162,37 @@ class InvariantsSpec extends AnyFunSuite {
     val top = new CascadingAnalysts(chained, 3).topIds(Segment(0, 7))
     for (r <- top.ids.indices)
       assert(top.gammas(r) == chained.gamma(top.ids(r), Segment(0, 7)))
+  }
+
+  import InvariantsSpec.Relation
+
+  val relations: Gen[Relation] = for {
+    n <- Gen.choose(3, 10)
+    vals <- Gen.choose(2, 3)
+    measures <- Gen.listOfN(vals * vals * n, Gen.choose(-10.0, 10.0))
+  } yield Relation(n, vals, for ((m, r) <- measures.zipWithIndex) yield
+    (Map("A0" -> s"v${r / (vals * n)}", "A1" -> s"v${r / n % vals}"), r % n, m))
+
+  test("adding an all-zero explanation changes no explanation, under vanilla, filter, O1 and O2") {
+    val configs = Seq(TSConfig(), TSConfig(filterRatio = Some(0.05)), TSConfig(guessVerify = true), TSConfig(sketch = true))
+    val prop = Prop.forAllNoShrink(relations) { rel =>
+      val zeros = for (b <- 0 until rel.vals; t <- 0 until rel.n) yield (Map("A0" -> "zero", "A1" -> s"v$b"), t, 0.0)
+      val padded = rel.copy(records = rel.records ++ zeros).cube
+      val cube = rel.cube
+      padded.epsilon == cube.epsilon + 1 + rel.vals &&
+        configs.forall(cfg => TSExplain.explain(padded, cfg).explanation == TSExplain.explain(cube, cfg).explanation)
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(Seed(2034L)), prop)
+    assert(result.passed, result.status)
+  }
+}
+
+object InvariantsSpec {
+
+  /** A relation over A0 and A1 with `vals` values each: one record per
+    * value pair and time, with a continuous measure.
+    */
+  final case class Relation(n: Int, vals: Int, records: Seq[(Map[String, String], Int, Double)]) {
+    def cube: ExplCube = ExplCube.fromRecords(Seq("A0", "A1"), (0 until n).map(_.toString), records)
   }
 }

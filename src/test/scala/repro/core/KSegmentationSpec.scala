@@ -163,6 +163,36 @@ class KSegmentationSpec extends AnyFunSuite {
     assert(math.abs(costs.objective(scheme) - manual) < 1e-12)
   }
 
+  test("cost reads one cell of a 50,000-point series, bit for bit as values does") {
+    val n = 50000
+    val rnd = new Random(43)
+    val series = Array.fill(n)(rnd.nextDouble() * 20 - 10)
+    val cube = ExplCube.fromSeries(Seq("a"), (0 until n).map(_.toString), series.clone(), Seq(Expl.of("a" -> "x") -> series))
+    val ca = new CascadingAnalysts(cube, 3)
+    val units = Array.tabulate(n - 1)(x => ca.topIds(Segment(x, x + 1)))
+    val costs = new SegmentCosts(cube, VarianceMetric.Tse, s => if (s.length == 1) units(s.i) else ca.topIds(s))
+    val cells = new KSegmentation.Cells(Vector(0, 10), 1, 10)
+    val want = costs.values(cells, Array(ca.topIds(Segment(0, 10))))(0)
+    assert(java.lang.Double.doubleToRawLongBits(costs.cost(0, 10)) == java.lang.Double.doubleToRawLongBits(want))
+  }
+
+  test("the DP over phase I's band allocates at most its back-pointers plus 1 MB") {
+    val n = 3200
+    val cells = new KSegmentation.Cells((0 until n).toVector, Sketch.sketchSize(n), Sketch.maxSegLen(n))
+    val rnd = new Random(47)
+    val w = Array.fill(cells.size)(rnd.nextDouble())
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val thread = Thread.currentThread.getId
+    KSegmentation.dp(cells, w) // loads and links what the DP runs
+    val before = mx.getThreadAllocatedBytes(thread)
+    val res = KSegmentation.dp(cells, w)
+    val allocated = mx.getThreadAllocatedBytes(thread) - before
+    val fromTable = (Sketch.sketchSize(n) + 1).toLong * n * 4
+    assert(allocated <= fromTable + (1L << 20), s"the DP allocated $allocated bytes; its from table is $fromTable")
+    // The sketch's k is feasible, and its scheme is backtracked on read.
+    assert(res.schemes(Sketch.sketchSize(n) - 1).exists(_.k == Sketch.sketchSize(n)))
+  }
+
   test("dp rejects malformed candidate lists") {
     intercept[IllegalArgumentException](KSegmentation.dp((_, _) => 0.0, Vector(3, 1), 2))
     intercept[IllegalArgumentException](KSegmentation.dp((_, _) => 0.0, Vector(1), 1))

@@ -99,7 +99,7 @@ class ParallelStagesSpec extends AnyFunSuite {
         val costs = new SegmentCosts(cube, metric, top)
         val ref = referenceVar(cube, metric, top) _
         for (s <- allSegments(cube.n))
-          assert(costs.weightedVar(s.i, s.j) == ref(s.i, s.j), s"trial $trial ${metric.name} $s")
+          assert(costs.cost(s.i, s.j) == ref(s.i, s.j), s"trial $trial ${metric.name} $s")
       }
     }
   }

@@ -21,21 +21,21 @@ class SketchSpec extends AnyFunSuite {
 
   test("sketch includes both endpoints and is sorted/distinct") {
     val ds = SyntheticGen.generate(n = 60, snrDb = 40, seed = 1)
-    val s = Sketch.select(costsFor(ds.cube))
+    val s = SketchSelect(costsFor(ds.cube))
     assert(s.head == 0 && s.last == ds.cube.n - 1)
     assert(s == s.sorted && s.distinct == s)
   }
 
   test("sketch segments respect the length cap L") {
     val ds = SyntheticGen.generate(n = 80, snrDb = 40, seed = 2)
-    val s = Sketch.select(costsFor(ds.cube))
+    val s = SketchSelect(costsFor(ds.cube))
     val l = Sketch.maxSegLen(80)
     assert(s.sliding(2).forall { case Vector(a, b) => b - a <= l })
   }
 
   test("sketch retains the ground-truth cut positions at high SNR") {
     val ds = SyntheticGen.generate(n = 100, snrDb = 50, seed = 3)
-    val s = Sketch.select(costsFor(ds.cube)).toSet
+    val s = SketchSelect(costsFor(ds.cube)).toSet
     // every true cut should be in (or within 1 of) the sketch
     for (c <- ds.truthCuts)
       assert(s.exists(x => math.abs(x - c) <= 1), s"true cut $c missing from sketch")
@@ -45,7 +45,7 @@ class SketchSpec extends AnyFunSuite {
     val ds = SyntheticGen.generate(n = 80, snrDb = 45, seed = 4)
     val costs = costsFor(ds.cube)
     val vanilla = KSegmentation.dp(costs.cost, (0 until ds.cube.n).toVector, kMax = ds.k)
-    val sk = Sketch.select(costs)
+    val sk = SketchSelect(costs)
     val sketched = KSegmentation.dp(costs.cost, sk, kMax = math.min(ds.k, sk.size - 1))
     val k = math.min(ds.k, sk.size - 1)
     assert(sketched.curve(k - 1) >= vanilla.curve(k - 1) - 1e-9, "sketch cannot beat vanilla")

@@ -123,6 +123,17 @@ class TSExplainSpec extends AnyFunSuite {
     }
   }
 
+  test("a series with more DP cells than one array holds is an IllegalArgumentException naming n") {
+    val n = 70000
+    val series = Array.tabulate(n)(t => (t % 7).toDouble)
+    val cube = ExplCube.fromSeries(Seq("a"), (0 until n).map(_.toString), series.clone(), Seq(Expl.of("a" -> "x") -> series))
+    val counting = new CountingTopLists
+    val e = intercept[IllegalArgumentException](TSExplain.explain(cube, TSConfig(), counting))
+    assert(e.getMessage.contains(s"$n candidate positions") && e.getMessage.contains((n.toLong * (n - 1) / 2).toString),
+      e.getMessage)
+    assert(counting.solved.isEmpty, "no segment is solved before the cells are counted")
+  }
+
   test("render produces one row per segment") {
     val ds = SyntheticGen.generate(n = 40, snrDb = 40, seed = 16)
     val res = TSExplain.explain(ds.cube, TSConfig(fixedK = Some(3)))
@@ -151,7 +162,7 @@ class TSExplainSpec extends AnyFunSuite {
     val solved = scala.collection.mutable.LinkedHashMap.empty[Segment, TopIds]
     val top: Segment => TopIds = s => solved.getOrElseUpdate(s, solve(s))
     val costs = new SegmentCosts(cube, cfg.metric, top)
-    val candidates = if (cfg.sketch) Sketch.select(costs) else (0 until cube.n).toVector
+    val candidates = if (cfg.sketch) SketchSelect(costs) else (0 until cube.n).toVector
     val kCap = math.min(cfg.kMax, candidates.size - 1)
     val dp = KSegmentation.dp(costs.cost, candidates, kCap)
     val k = cfg.fixedK.fold(Elbow.select(dp.curve))(k0 => math.max(1, math.min(k0, kCap)))
