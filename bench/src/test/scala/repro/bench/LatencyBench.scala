@@ -26,12 +26,12 @@ class LatencyBench extends AnyFunSuite {
     println(Benches.fmtTable(
       Seq("dataset", "variant", "precompute", "CA", "K-seg", "total"),
       allRows.map(r => Seq(r.dataset, r.variant,
-        f"${r.precomputeMs}%.0f", f"${r.caMs}%.0f", f"${r.ksegMs}%.0f", f"${r.totalMs}%.0f"))))
+        f"${r.timings.precomputeMs}%.0f", f"${r.timings.caMs}%.0f", f"${r.timings.ksegMs}%.0f", f"${r.timings.totalMs}%.0f"))))
 
     for (sim <- Seq("liquor", "sp500")) {
       val rows = allRows.filter(_.dataset == sim)
-      val vanilla = rows.find(_.variant == "Vanilla").get.totalMs
-      val opt = rows.find(_.variant == "O1+O2").get.totalMs
+      val vanilla = rows.find(_.variant == "Vanilla").get.timings.totalMs
+      val opt = rows.find(_.variant == "O1+O2").get.timings.totalMs
       val speedup = vanilla / opt
       println(f"$sim: O1+O2 speedup over Vanilla = $speedup%.1fx")
       assert(speedup > 1.5, f"$sim: expected a clear speedup, got $speedup%.2fx")

@@ -136,8 +136,8 @@ object Latency {
       val rows = Benches.latencyBreakdown(sim)
       println(Benches.fmtTable(
         Seq("dataset", "variant", "precompute", "CA", "K-seg", "total"),
-        rows.map(r => Seq(r.dataset, r.variant, f"${r.precomputeMs}%.0f",
-          f"${r.caMs}%.0f", f"${r.ksegMs}%.0f", f"${r.totalMs}%.0f"))))
+        rows.map(r => Seq(r.dataset, r.variant, f"${r.timings.precomputeMs}%.0f",
+          f"${r.timings.caMs}%.0f", f"${r.timings.ksegMs}%.0f", f"${r.timings.totalMs}%.0f"))))
     }
     val scale = Benches.scalability(Seq(100, 200, 400, 800), vanillaCap = 400)
     println(Benches.fmtTable(Seq("n", "Vanilla ms", "O1+O2 ms", "O1+O2 MB"),

@@ -196,19 +196,18 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
       ranked(p) = id
       r += 1
     }
-    TopIds(
-      ranked,
-      ranked.map(cube.gamma(_, segment)),
-      ranked.map(cube.tau(_, segment)),
-      best,
-    )
+    val taus = new Array[Int](ranked.length)
+    r = 0
+    while (r < ranked.length) { taus(r) = cube.tau(ranked(r), segment); r += 1 }
+    TopIds(segment, ranked, taus, best)
   }
 }
 
 object CascadingAnalysts {
+  /** `t` with each id's explanation and γ on `t.seg` read from `cube`. */
   def pretty(cube: ExplCube, t: TopIds): TopExpl =
     TopExpl(
-      t.ids.indices.map(r => RankedExpl(cube.expls(t.ids(r)), t.gammas(r), t.taus(r))).toVector,
+      t.ids.indices.map(r => RankedExpl(cube.expls(t.ids(r)), cube.gamma(t.ids(r), t.seg), t.taus(r))).toVector,
       t.best.toVector,
     )
 }

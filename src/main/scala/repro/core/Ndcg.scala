@@ -31,9 +31,9 @@ object VarianceMetric {
   */
 final class Ndcg(cube: ExplCube) {
 
-  /** The rank discount 1 / log2(r + 2) of rank r (from 0). */
+  /** The rank discount 1 / log2(r + 2) of each rank r < ε a list can have. */
   private[core] val invLog: Array[Double] =
-    Array.tabulate(64)(r => 1.0 / (math.log(r + 2.0) / math.log(2.0)))
+    Array.tabulate(cube.epsilon)(r => 1.0 / (math.log(r + 2.0) / math.log(2.0)))
 
   /** DCG of a segment's own list — rectification is trivially satisfied. */
   def dcgSelf(target: Segment, own: TopIds): Double = {

@@ -2,6 +2,7 @@ package repro.core
 
 import java.util.concurrent.ForkJoinPool
 import java.util.stream.IntStream
+import scala.collection.immutable.ArraySeq
 import repro.core.KSegmentation.Cells
 
 /** Pipeline configuration (paper defaults: m = 3, β̄ = 3, K ≤ 20, tse).
@@ -118,61 +119,65 @@ object TSExplain {
     val precomputeMs = (System.nanoTime() - t0) / 1e6
     val n = cube.n
 
-    // Each DP run's cells come with their top lists, in cell order. A unit's
-    // list, or one an earlier run solved, is reused; the rest are solved in
-    // one batch per run, with every unit on the first. So no segment is
-    // solved twice. The all-pair metrics read unit lists only.
+    // Each DP run's cells come with their top lists, in cell order. Every
+    // unit's list is solved first, in its own batch, after the first run's
+    // cells are listed; `fill` gives cells the rest, so no segment is solved
+    // twice. The all-pair metrics read unit lists only.
     val allPair = cfg.metric == VarianceMetric.AllPair || cfg.metric == VarianceMetric.SAllPair
     var topNanos = 0L
-    def solve(segments: IndexedSeq[Segment]): Array[TopIds] =
+    def solve(segments: Array[Segment]): Array[TopIds] =
       if (segments.isEmpty) Array.empty
       else {
         val s = System.nanoTime()
-        val got = tops(cube, cfg, segments)
+        val got = tops(cube, cfg, ArraySeq.unsafeWrapArray(segments))
         topNanos += System.nanoTime() - s
         got
       }
-    var unitLists: Array[TopIds] = null
-    def listsOf(cells: Cells, earlier: (Int, Int) => TopIds): Array[TopIds] = {
-      val lists = new Array[TopIds](cells.size)
-      val todo = Array.newBuilder[Int]
-      for (k <- 0 until cells.size if !allPair && cells.end(k) - cells.start(k) > 1) {
-        lists(k) = earlier(cells.start(k), cells.end(k))
-        if (lists(k) == null) todo += k
-      }
-      val fresh = todo.result()
-      val units = if (unitLists == null) n - 1 else 0
-      val got = solve(Vector.tabulate(units)(x => Segment(x, x + 1)) ++ fresh.map(k => Segment(cells.start(k), cells.end(k))))
-      if (units > 0) unitLists = got.take(units)
-      for (t <- fresh.indices) lists(fresh(t)) = got(units + t)
-      for (k <- 0 until cells.size if cells.end(k) - cells.start(k) == 1) lists(k) = unitLists(cells.start(k))
-      lists
-    }
-    // `values` reads the unit lists through topFn.
-    val costs = new SegmentCosts(cube, cfg.metric, s => unitLists(s.i))
 
     val t1 = System.nanoTime()
     val all = (0 until n).toVector
-    var earlier: (Int, Int) => TopIds = (_, _) => null
-    val candidates: Vector[Int] =
-      if (cfg.sketch) {
-        val band = new Cells(all, Sketch.sketchSize(n), Sketch.maxSegLen(n))
-        val bandLists = listsOf(band, earlier)
-        earlier = (i, j) => { val k = band.indexOf(i, j); if (k < 0) null else bandLists(k) }
-        Sketch.cuts(KSegmentation.dp(band, costs.values(band, bandLists)))
-      } else all
-    val cells = new Cells(candidates, cfg.kMax, n)
-    val lists = listsOf(cells, earlier)
+    // The first DP run: with O2, sketch phase I over the band.
+    val first = if (cfg.sketch) new Cells(all, Sketch.sketchSize(n), Sketch.maxSegLen(n)) else new Cells(all, cfg.kMax, n)
+    val firstLists = new Array[TopIds](first.size)
+    val unitLists = solve(Array.tabulate(n - 1)(x => Segment(x, x + 1)))
+    // `values` reads the unit lists through topFn.
+    val costs = new SegmentCosts(cube, cfg.metric, s => unitLists(s.i))
+
+    // Gives each cell ks(r) of `cells` that lacks a list in `lists` one: a
+    // unit's, or one the first run has, or else one solved in one batch.
+    def fill(cells: Cells, lists: Array[TopIds], ks: Array[Int]): Array[TopIds] = {
+      val todo = new Array[Int](ks.length)
+      var size = 0
+      var r = 0
+      while (r < ks.length) {
+        val k = ks(r)
+        if (lists(k) == null) {
+          val i = cells.start(k)
+          val j = cells.end(k)
+          lists(k) = if (j - i == 1) unitLists(i) else { val e = first.indexOf(i, j); if (e < 0) null else firstLists(e) }
+          if (lists(k) == null) { todo(size) = k; size += 1 }
+        }
+        r += 1
+      }
+      val got = solve(Array.tabulate(size)(t => Segment(cells.start(todo(t)), cells.end(todo(t)))))
+      for (t <- 0 until size) lists(todo(t)) = got(t)
+      lists
+    }
+    // The cells whose lists a run's costs read.
+    def read(cells: Cells): Array[Int] = if (allPair) Array.emptyIntArray else Array.range(0, cells.size)
+
+    fill(first, firstLists, read(first))
+    val candidates = if (cfg.sketch) Sketch.cuts(KSegmentation.dp(first, costs.values(first, firstLists))) else all
+    val cells = if (cfg.sketch) new Cells(candidates, cfg.kMax, n) else first
+    val lists = if (cfg.sketch) fill(cells, new Array[TopIds](cells.size), read(cells)) else firstLists
     val dpRes = KSegmentation.dp(cells, costs.values(cells, lists))
     val curve = dpRes.curve
     val k = cfg.fixedK.map(math.min(_, cells.kCap)).getOrElse(Elbow.select(curve))
     val scheme = dpRes.schemes(k - 1).get
     // The chosen segments are cells of the last run; only the all-pair
     // metrics have not solved them yet.
-    val chosen = scheme.segments.map(s => cells.indexOf(s.i, s.j))
-    val unsolved = chosen.filter(lists(_) == null)
-    val got = solve(unsolved.map(c => Segment(cells.start(c), cells.end(c))))
-    for (t <- unsolved.indices) lists(unsolved(t)) = got(t)
+    val chosen = scheme.segments.map(s => cells.indexOf(s.i, s.j)).toArray
+    fill(cells, lists, chosen)
     val perSegment = scheme.segments.zip(chosen).map { case (s, c) => s -> CascadingAnalysts.pretty(cube, lists(c)) }
     val stageNanos = System.nanoTime() - t1
     val caMs = topNanos / 1e6

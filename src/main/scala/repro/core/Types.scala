@@ -58,11 +58,11 @@ final case class RankedExpl(expl: Expl, gamma: Double, tau: Int)
 final case class TopExpl(ranked: Vector[RankedExpl], best: Vector[Double])
 
 /** Compact, id-based top-m list used on the hot path (Ndcg / K-Segmentation):
-  * `ids` are cube explanation ids ranked by γ descending; `gammas`/`taus` are
-  * each id's score and effect on the segment the list was computed for;
-  * `best(q)` is the CA DP's optimal at-most-q score (Eq. 12 certificate).
+  * `ids` are cube explanation ids ranked by γ descending on `seg` (an id's γ
+  * is the cube's `gamma(id, seg)`), `taus` their effects there; `best(q)` is
+  * the CA DP's optimal at-most-q score (Eq. 12 certificate).
   */
-final case class TopIds(ids: Array[Int], gammas: Array[Double], taus: Array[Int], best: Array[Double]) {
+final case class TopIds(seg: Segment, ids: Array[Int], taus: Array[Int], best: Array[Double]) {
   def size: Int = ids.length
 }
 

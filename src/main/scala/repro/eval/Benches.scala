@@ -176,16 +176,13 @@ object Benches {
 
   // --------------------------------------------- Fig 15/16 (latency study)
 
-  final case class LatencyRow(dataset: String, variant: String,
-      precomputeMs: Double, caMs: Double, ksegMs: Double) {
-    def totalMs: Double = precomputeMs + caMs + ksegMs
-  }
+  final case class LatencyRow(dataset: String, variant: String, timings: Timings)
 
   /** Latency breakdown per optimization variant (Fig. 15): Vanilla,
     * w/filter, O1 (filter + guess-and-verify), O2 (filter + sketching),
     * O1+O2.
     */
-  def latencyBreakdown(sim: RealWorldSim.Sim, buildMs: Double = 0.0): Seq[LatencyRow] = {
+  def latencyBreakdown(sim: RealWorldSim.Sim): Seq[LatencyRow] = {
     val variants: Seq[(String, TSConfig)] = Seq(
       "Vanilla" -> TSConfig(),
       "w filter" -> TSConfig(filterRatio = Some(0.001)),
@@ -193,11 +190,7 @@ object Benches {
       "O2" -> TSConfig(filterRatio = Some(0.001), sketch = true),
       "O1+O2" -> TSConfig(filterRatio = Some(0.001), guessVerify = true, sketch = true),
     )
-    variants.map { case (name, cfg) =>
-      val res = TSExplain.explain(sim.cube, cfg)
-      LatencyRow(sim.name, name,
-        res.timings.precomputeMs + buildMs, res.timings.caMs, res.timings.ksegMs)
-    }
+    variants.map { case (name, cfg) => LatencyRow(sim.name, name, TSExplain.explain(sim.cube, cfg).timings) }
   }
 
   /** End-to-end comparison against the baselines (Fig. 16): the baselines

@@ -23,12 +23,14 @@ class CascadingAnalystsSpec extends AnyFunSuite {
     for (e <- es) assert(e.order <= maxOrder, s"order bound violated by $e")
     for (i <- es.indices; j <- i + 1 until es.length)
       assert(es(i).nonOverlapping(es(j)), s"${es(i)} overlaps ${es(j)}")
+    assert(top.seg == seg, "the list records the segment it ranks")
+    val gammas = CascadingAnalysts.pretty(cube, top).ranked.map(_.gamma)
     for (r <- top.ids.indices) {
-      assert(top.gammas(r) == cube.gamma(top.ids(r), seg), "reported γ must match cube")
+      assert(gammas(r) == cube.gamma(top.ids(r), seg), "reported γ must match cube")
       assert(top.taus(r) == cube.tau(top.ids(r), seg), "reported τ must match cube")
     }
-    assert(top.gammas.toSeq == top.gammas.toSeq.sortBy(-(_: Double)), "ranked by γ descending")
-    assert(math.abs(top.best(m) - top.gammas.sum) < 1e-9, "Best[m] equals the selection's total")
+    assert(gammas == gammas.sortBy(-(_: Double)), "ranked by γ descending")
+    assert(math.abs(top.best(m) - gammas.sum) < 1e-9, "Best[m] equals the selection's total")
   }
 
   test("DP equals the exponential reference on random 2-attribute cubes") {
@@ -71,7 +73,7 @@ class CascadingAnalystsSpec extends AnyFunSuite {
     val cube = ExplCube.fromSeries(Seq("a"), Seq("0", "1"), total, series)
     val top = new CascadingAnalysts(cube, 3).topIds(Segment(0, 1))
     assert(top.ids.map(cube.expls).map(_.toString).toSeq == Seq("a=p", "a=q", "a=r"))
-    assert(top.gammas.toSeq == Seq(9.0, 7.0, 4.0))
+    assert(top.ids.map(cube.gamma(_, Segment(0, 1))).toSeq == Seq(9.0, 7.0, 4.0))
     assert(top.taus.toSeq == Seq(1, -1, 1))
   }
 
@@ -178,7 +180,7 @@ class CascadingAnalystsSpec extends AnyFunSuite {
           val got = ca.topIds(seg, active)
           val want = subCa.topIds(seg)
           assert(got.ids.toSeq == want.ids.toSeq.map(ids), s"trial $trial [$i,$j]")
-          assert(got.gammas.toSeq == want.gammas.toSeq && got.taus.toSeq == want.taus.toSeq)
+          assert(got.seg == want.seg && CascadingAnalysts.pretty(cube, got) == CascadingAnalysts.pretty(sub, want))
           assert(got.best.toSeq == want.best.toSeq)
         }
       }
@@ -192,7 +194,23 @@ class CascadingAnalystsSpec extends AnyFunSuite {
       Seq(Expl.of("a" -> "x") -> Array(2.0, 2.0), Expl.of("a" -> "y") -> Array(3.0, 3.0)))
     val top = new CascadingAnalysts(cube, 3).topIds(Segment(0, 1))
     assert(top.best(3) == 0.0)
-    assert(top.gammas.forall(_ == 0.0))
+    assert(top.ids.forall(cube.gamma(_, Segment(0, 1)) == 0.0))
+  }
+
+  test("topIds allocates at most 160 bytes per call: the list and its three arrays") {
+    val cube = repro.synth.RealWorldSim.covidDaily().cube.smoothed(5)
+    val ca = new CascadingAnalysts(cube, 3)
+    val segments = for (i <- 0 until cube.n; j <- i + 1 until cube.n) yield Segment(i, j)
+    var sink = 0L
+    def pass(): Unit = for (s <- segments) sink += ca.topIds(s).size
+    pass(); pass() // warm-up: loads and compiles what topIds runs
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val thread = Thread.currentThread.getId
+    val before = mx.getThreadAllocatedBytes(thread)
+    pass()
+    val perCall = (mx.getThreadAllocatedBytes(thread) - before).toDouble / segments.size
+    assert(sink > 0)
+    assert(perCall <= 160, f"topIds allocated $perCall%.1f bytes per call")
   }
 
   test("pretty conversion preserves rank order, γ and τ") {
@@ -201,7 +219,8 @@ class CascadingAnalystsSpec extends AnyFunSuite {
     val ca = new CascadingAnalysts(cube, 3)
     val ids = ca.topIds(Segment(0, 1))
     val pretty = CascadingAnalysts.pretty(cube, ids)
-    assert(pretty.ranked.map(_.gamma) == ids.gammas.toVector)
+    assert(ids.seg == Segment(0, 1))
+    assert(pretty.ranked.map(_.gamma) == ids.ids.toVector.map(cube.gamma(_, Segment(0, 1))))
     assert(pretty.ranked.map(_.tau) == ids.taus.toVector)
     assert(pretty.ranked.map(_.expl) == ids.ids.toVector.map(cube.expls))
   }

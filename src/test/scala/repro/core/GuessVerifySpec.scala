@@ -25,7 +25,8 @@ class GuessVerifySpec extends AnyFunSuite {
         val a = gv.topIds(seg)
         val b = ca.topIds(seg)
         assert(math.abs(a.best(3) - b.best(3)) < 1e-9, s"trial $trial seg [$i,$j]")
-        assert(math.abs(a.gammas.sum - b.gammas.sum) < 1e-9, s"selection totals differ [$i,$j]")
+        assert(math.abs(a.ids.map(cube.gamma(_, seg)).sum - b.ids.map(cube.gamma(_, seg)).sum) < 1e-9,
+          s"selection totals differ [$i,$j]")
       }
     }
   }
@@ -39,8 +40,8 @@ class GuessVerifySpec extends AnyFunSuite {
         val gv = new GuessVerify(cube, 3, m0 = 1)
         val ca = new CascadingAnalysts(cube, 3)
         for (i <- 0 until cube.n; j <- i + 1 until cube.n) {
-          val got = gv.topIds(Segment(i, j)).gammas.sum
-          val want = ca.topIds(Segment(i, j)).gammas.sum
+          val got = gv.topIds(Segment(i, j)).ids.map(cube.gamma(_, Segment(i, j))).sum
+          val want = ca.topIds(Segment(i, j)).ids.map(cube.gamma(_, Segment(i, j))).sum
           assert(math.abs(got - want) <= 1e-9 * want, s"scale $scale trial $trial [$i,$j]: $got vs $want")
         }
       }
@@ -53,8 +54,10 @@ class GuessVerifySpec extends AnyFunSuite {
     val gv = new GuessVerify(cube, 3, m0 = 4)
     val seg = Segment(0, cube.n - 1)
     val top = gv.topIds(seg)
+    assert(top.seg == seg)
+    val gammas = CascadingAnalysts.pretty(cube, top).ranked.map(_.gamma)
     for (r <- top.ids.indices) {
-      assert(top.gammas(r) == cube.gamma(top.ids(r), seg))
+      assert(gammas(r) == cube.gamma(top.ids(r), seg))
       assert(top.taus(r) == cube.tau(top.ids(r), seg))
     }
   }

@@ -45,6 +45,21 @@ class InputValidationSpec extends AnyFunSuite {
     assert(TSExplain.explain(cube(2), TSConfig()).explanation.scheme.cuts == Vector(0, 1))
   }
 
+  test("lists longer than 64 explain: m = 65 ranks 65, and m past ε = 70 changes nothing") {
+    val rnd = new scala.util.Random(65)
+    val n = 12
+    val series = (0 until 70).map(v => Expl.of("a" -> f"v$v%02d") -> Array.fill(n)(rnd.nextDouble() * 100))
+    val total = Array.tabulate(n)(t => series.map(_._2(t)).sum)
+    val wide = ExplCube.fromSeries(Seq("a"), (0 until n).map(_.toString), total, series)
+    assert(wide.epsilon == 70)
+    val e65 = TSExplain.explain(wide, TSConfig(m = 65)).explanation
+    assert(e65.perSegment.forall(_._2.ranked.size == 65))
+    val Seq(e70, e500) = Seq(70, 500).map(m => TSExplain.explain(wide, TSConfig(m = m)).explanation)
+    assert(e70.perSegment.forall(_._2.ranked.size == 70))
+    assert(e500.scheme == e70.scheme && e500.perSegment.map(_._2.ranked) == e70.perSegment.map(_._2.ranked))
+    assert(e500.totalVariance == e70.totalVariance)
+  }
+
   test("ExplCube rejects non-finite series values, naming the explanation and time index") {
     for (v <- Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)) {
       rejected(s"the series of a=y is not finite at time index 2") {

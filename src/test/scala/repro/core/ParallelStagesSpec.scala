@@ -302,7 +302,7 @@ class ParallelStagesSpec extends AnyFunSuite {
         val got = TopLists.Driver(cube, cfg, batch)
         assert(got.length == expected.size)
         for ((g, e) <- got.zip(expected)) {
-          assert(g.ids.sameElements(e.ids) && g.gammas.sameElements(e.gammas) && g.taus.sameElements(e.taus) &&
+          assert(g.seg == e.seg && g.ids.sameElements(e.ids) && g.taus.sameElements(e.taus) &&
             g.best.sameElements(e.best), s"guessVerify=${cfg.guessVerify} batch of ${batch.size}")
         }
       }
@@ -312,20 +312,23 @@ class ParallelStagesSpec extends AnyFunSuite {
   test("an IllegalArgumentException thrown on a pool worker reaches explain's caller as one") {
     val cube = wideCube(new Random(29), n = 30)
     val workerThrew = new CountDownLatch(1)
-    // Reading a segment throws on a pool worker; the calling thread first
-    // waits for a worker to throw, so the exception explain's caller gets
-    // is the worker's.
-    val failing: TopLists = (c, cfg, segments) => TopLists.Driver(c, cfg, new IndexedSeq[Segment] {
-      def length: Int = segments.length
-      def apply(k: Int): Segment =
-        if (Thread.currentThread.isInstanceOf[ForkJoinWorkerThread]) {
-          workerThrew.countDown()
-          throw new IllegalArgumentException(s"unreadable segment $k")
-        } else {
-          workerThrew.await(30, TimeUnit.SECONDS)
-          segments(k)
-        }
-    })
+    // In a batch that spans several blocks, reading a segment throws on a
+    // pool worker; the calling thread first waits for a worker to throw, so
+    // the exception explain's caller gets is the worker's. A smaller batch
+    // (the units) runs on the calling thread alone and is read as it is.
+    val failing: TopLists = (c, cfg, segments) =>
+      if (segments.length < 2 * Blocks.MinSize) TopLists.Driver(c, cfg, segments)
+      else TopLists.Driver(c, cfg, new IndexedSeq[Segment] {
+        def length: Int = segments.length
+        def apply(k: Int): Segment =
+          if (Thread.currentThread.isInstanceOf[ForkJoinWorkerThread]) {
+            workerThrew.countDown()
+            throw new IllegalArgumentException(s"unreadable segment $k")
+          } else {
+            workerThrew.await(30, TimeUnit.SECONDS)
+            segments(k)
+          }
+      })
     val e = intercept[IllegalArgumentException](TSExplain.explain(cube, TSConfig(), failing))
     assert(workerThrew.getCount == 0, "no pool worker ran a block")
     assert(e.getMessage.contains("unreadable segment"), e.getMessage)

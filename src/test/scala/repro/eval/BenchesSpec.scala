@@ -63,7 +63,7 @@ class BenchesSpec extends AnyFunSuite {
     val sim = RealWorldSim.Sim("tiny", ds.cube, ds.truthCuts, Vector.empty, () => Seq.empty)
     val rows = Benches.latencyBreakdown(sim)
     assert(rows.map(_.variant) == Seq("Vanilla", "w filter", "O1", "O2", "O1+O2"))
-    assert(rows.forall(_.totalMs >= 0))
+    assert(rows.forall(_.timings.totalMs >= 0))
   }
 
   test("endToEnd produces rows for TSExplain and the three baselines") {
