@@ -25,6 +25,14 @@ object ExplanationCube {
     * over (timeCol, attrs…): the first column is the most significant bit,
     * and a set bit means the column is aggregated away in that row; the
     * time bit is always clear.
+    *
+    * The input is coalesced to one partition per core (`defaultParallelism`)
+    * before the aggregate. A map task's cost is mostly fixed: shipping the
+    * task and writing one shuffle file per reduce partition. Catalyst
+    * aggregates every grouping set in the same pass whatever the task count,
+    * and the result is small (one row per explanation and timestamp), so
+    * more map tasks than cores only add that fixed cost. `coalesce` is
+    * narrow and never raises the partition count.
     */
   def cubeDF(
       df: DataFrame,
@@ -38,7 +46,8 @@ object ExplanationCube {
     val t = col(timeCol)
     val sets = (0 to math.min(maxOrder, attrs.size)).flatMap(o => attrs.combinations(o))
       .map(s => t +: s.map(col))
-    df.groupingSets(sets, t +: attrs.map(col): _*)
+    df.coalesce(df.sparkSession.sparkContext.defaultParallelism)
+      .groupingSets(sets, t +: attrs.map(col): _*)
       .agg(sum(col(measureCol)).as("agg_value"), grouping_id().as("gid"))
   }
 

@@ -78,6 +78,34 @@ class SynthDataSpec extends SparkSpec {
       "r" -> df)
   }
 
+  test("explainRelation returns each record rowsPerRecord times, in record order, with m / rowsPerRecord") {
+    val rnd = new scala.util.Random(17)
+    // 60,060 rows: three slices, of 333, 334 and 334 records
+    val recs = Seq.tabulate(1001) { i =>
+      val vals = Map("a" -> s"a${rnd.nextInt(4)}") ++ (if (rnd.nextInt(3) == 0) Map.empty else Map("b" -> s"b${rnd.nextInt(5)}"))
+      (vals, i % 37, rnd.nextDouble() * 100)
+    }
+    val df = SynthData.explainRelation(spark, Seq("a", "b"), recs, rowsPerRecord = 60)
+    assert(df.rdd.getNumPartitions == 3)
+    val expected = recs.flatMap { case (vals, t, m) =>
+      Seq.fill(60)(org.apache.spark.sql.Row(vals("a"), vals.getOrElse("b", null), t, m / 60))
+    }
+    assert(df.collect().toSeq == expected)
+  }
+
+  test("no partition of the covid relation at 50 rows per record serializes past 256 KB") {
+    val df = SynthData.covidDaily(spark, rowsPerRecord = 50)
+    val sizes = df.rdd.partitions.map { p =>
+      val bytes = new java.io.ByteArrayOutputStream
+      val out = new java.io.ObjectOutputStream(bytes)
+      out.writeObject(p)
+      out.close()
+      bytes.size
+    }
+    assert(sizes.length == 50)
+    assert(sizes.max <= 256 * 1024, s"largest partition serializes to ${sizes.max} bytes")
+  }
+
   test("zipf keys are skewed toward low ranks") {
     val df = SynthData.zipfKeys(spark, rows = 20000, nKeys = 1000)
     val top = df.groupBy("k").count().orderBy(desc("count")).limit(1).collect()(0)

@@ -167,14 +167,7 @@ class InvariantsSpec extends AnyFunSuite {
       assert(gammas(r) == chained.gamma(top.ids(r), Segment(0, 7)))
   }
 
-  import InvariantsSpec.Relation
-
-  val relations: Gen[Relation] = for {
-    n <- Gen.choose(3, 10)
-    vals <- Gen.choose(2, 3)
-    measures <- Gen.listOfN(vals * vals * n, Gen.choose(-10.0, 10.0))
-  } yield Relation(n, vals, for ((m, r) <- measures.zipWithIndex) yield
-    (Map("A0" -> s"v${r / (vals * n)}", "A1" -> s"v${r / n % vals}"), r % n, m))
+  import InvariantsSpec.{relations, tied}
 
   test("adding an all-zero explanation changes no explanation, under vanilla, filter, O1 and O2") {
     val configs = Seq(TSConfig(), TSConfig(filterRatio = Some(0.05)), TSConfig(guessVerify = true), TSConfig(sketch = true))
@@ -187,25 +180,6 @@ class InvariantsSpec extends AnyFunSuite {
     }
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(Seed(2034L)), prop)
     assert(result.passed, result.status)
-  }
-
-  /** Whether some other selection of at most m non-overlapping explanations
-    * scores within 1e-9 of `seg`'s best (by enumeration): a tie, which SUM's
-    * additivity makes common (all values of A0, or of A1, sum to the total).
-    */
-  def tied(cube: ExplCube, seg: Segment, m: Int): Boolean = {
-    val positive = cube.expls.indices.filter(cube.gamma(_, seg) > 0)
-    val totals = scala.collection.mutable.ArrayBuffer.empty[Double]
-    def extend(from: Int, chosen: List[Int], sum: Double): Unit = {
-      totals += sum
-      if (chosen.size < m) for (k <- from until positive.size) {
-        val id = positive(k)
-        if (chosen.forall(c => cube.expls(c).nonOverlapping(cube.expls(id)))) extend(k + 1, id :: chosen, sum + cube.gamma(id, seg))
-      }
-    }
-    extend(0, Nil, 0.0)
-    val top = totals.sorted(Ordering.Double.TotalOrdering.reverse)
-    top.size >= 2 && top(1) >= top(0) * (1 - 1e-9)
   }
 
   test("relabelling A0's values changes no score, cut or list, under vanilla, filter, O1 and O2") {
@@ -222,8 +196,7 @@ class InvariantsSpec extends AnyFunSuite {
       // Which of tied selections CA returns depends on the rounding of its
       // knapsack sums, so on the order it visits children in: name order.
       // The answer is defined up to names only without ties.
-      val untied = Seq(cube, cube.filtered(0.05)).forall(c =>
-        (0 until c.n).forall(i => (i + 1 until c.n).forall(j => !tied(c, Segment(i, j), 3))))
+      val untied = Seq(cube, cube.filtered(0.05)).forall(!tied(_, 3))
       untied ==> configs.forall { cfg =>
         val a = TSExplain.explain(cube, cfg).explanation
         val b = TSExplain.explain(relabelled, cfg).explanation
@@ -247,4 +220,34 @@ object InvariantsSpec {
   final case class Relation(n: Int, vals: Int, records: Seq[(Map[String, String], Int, Double)]) {
     def cube: ExplCube = ExplCube.fromRecords(Seq("A0", "A1"), (0 until n).map(_.toString), records)
   }
+
+  val relations: Gen[Relation] = for {
+    n <- Gen.choose(3, 10)
+    vals <- Gen.choose(2, 3)
+    measures <- Gen.listOfN(vals * vals * n, Gen.choose(-10.0, 10.0))
+  } yield Relation(n, vals, for ((m, r) <- measures.zipWithIndex) yield
+    (Map("A0" -> s"v${r / (vals * n)}", "A1" -> s"v${r / n % vals}"), r % n, m))
+
+  /** Whether some other selection of at most m non-overlapping explanations
+    * scores within 1e-9 of `seg`'s best (by enumeration): a tie, which SUM's
+    * additivity makes common (all values of A0, or of A1, sum to the total).
+    */
+  def tied(cube: ExplCube, seg: Segment, m: Int): Boolean = {
+    val positive = cube.expls.indices.filter(cube.gamma(_, seg) > 0)
+    val totals = scala.collection.mutable.ArrayBuffer.empty[Double]
+    def extend(from: Int, chosen: List[Int], sum: Double): Unit = {
+      totals += sum
+      if (chosen.size < m) for (k <- from until positive.size) {
+        val id = positive(k)
+        if (chosen.forall(c => cube.expls(c).nonOverlapping(cube.expls(id)))) extend(k + 1, id :: chosen, sum + cube.gamma(id, seg))
+      }
+    }
+    extend(0, Nil, 0.0)
+    val top = totals.sorted(Ordering.Double.TotalOrdering.reverse)
+    top.size >= 2 && top(1) >= top(0) * (1 - 1e-9)
+  }
+
+  /** Whether any segment of `cube` has a tie among selections of at most m. */
+  def tied(cube: ExplCube, m: Int): Boolean =
+    (0 until cube.n).exists(i => (i + 1 until cube.n).exists(j => tied(cube, Segment(i, j), m)))
 }
