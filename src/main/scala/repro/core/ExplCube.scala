@@ -100,6 +100,8 @@ final class ExplCube(
     * surviving order-3 explanation must remain reachable through its order-1/2
     * ancestors even if those happen to be individually small (cannot occur for
     * SUM of non-negatives, but can for signed measures).
+    * Where gains and losses cancel, the bar ratio·|total(t)| nears zero, and
+    * nearly every explanation passes; at a zero total, every one does.
     */
   def filtered(ratio: Double): ExplCube = {
     val keep = new Array[Boolean](epsilon)

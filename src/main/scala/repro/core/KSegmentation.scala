@@ -7,19 +7,21 @@ package repro.core
   * [p_i, p_j] is the partition itself. Top-explanation lists are supplied by
   * `topFn` (full CA, guess-and-verify CA, …) and should be cached by the
   * caller. [[values]] computes the costs of a DP run's cells, given their
-  * lists, and [[cost]] one cell at a time; neither memoizes. This class
-  * also keeps each unit's self-DCG and the pairwise object distances the
-  * all-pair metrics share.
+  * list ids, and [[cost]] one cell at a time; neither memoizes. A list id
+  * is a row of one table of distinct lists ([[intern]]), where lists that
+  * rank the same ids with the same τs (all the kernel reads of a list
+  * besides its segment) share a row. This class also keeps each unit's
+  * self-DCG and the pairwise object distances the all-pair metrics share.
   *
   * The Eq. 6 metrics (all but the all-pair ones) sum, over the objects x of
   * a cell, a term of how well x's list explains the centroid and a term of
   * how well the centroid's list explains x. The first depends on x only
   * through x's list, so a cell computes it once per distinct unit list; the
-  * second depends on the centroid only through its list's ids and τs, so
-  * cells with equal centroid lists share it per object, and it reads the
-  * unit changes from one flat ε×(n−1) array. Both are computed with the
-  * operations, in the order, of [[Ndcg.ndcgGiven]], so every cost keeps its
-  * bits whichever cells share the work.
+  * second depends on the centroid only through its list, so cells with
+  * equal centroid lists share it per object, and it reads the unit changes
+  * from one flat ε×(n−1) array. Both are computed with the operations, in
+  * the order, of [[Ndcg.ndcgGiven]], so every cost keeps its bits whichever
+  * cells share the work.
   */
 final class SegmentCosts(
     val cube: ExplCube,
@@ -38,6 +40,8 @@ final class SegmentCosts(
   // The unit segments (objects), built once: a fresh Segment per object
   // read in a cost loop allocates unless the JIT elides it.
   private val units: Array[Segment] = Array.tabulate(nUnits)(x => Segment(x, x + 1))
+
+  private val lists = new SegmentCosts.ListIds // the distinct lists met so far
 
   private def unitTop(x: Int): TopIds = topFn(units(x))
 
@@ -80,16 +84,14 @@ final class SegmentCosts(
   private final class UnitTables {
     // Each unit's self-DCG, the IDCG of Eq. 5 with the unit as target.
     val idcg = new Array[Double](nUnits)
-    // The distinct unit lists of the Eq. 6 kernel: unit x's list is
-    // listRep(listOf(x)).
+    // Unit x's list id, below unitIds: the units are interned first.
     val listOf = new Array[Int](if (allPair) 0 else nUnits)
-    private val ids = new SegmentCosts.ListIds(nUnits)
     for (x <- 0 until nUnits) {
       val top = unitTop(x)
       idcg(x) = ndcg.dcgSelf(units(x), top)
-      if (!allPair) listOf(x) = ids.idOf(top)
+      if (!allPair) listOf(x) = lists.idOf(top)
     }
-    val listRep: Array[TopIds] = ids.reps.toArray
+    val unitIds: Int = lists.reps.size
     // The unit change s_e(x + 1) − s_e(x) at e·(n − 1) + x, which the
     // centroid→object term of the Eq. 6 kernel reads.
     val delta = new Array[Double](if (allPair || !toObject) 0 else cube.epsilon * nUnits)
@@ -100,16 +102,24 @@ final class SegmentCosts(
     }
   }
 
-  // Built on first use, once the unit lists can be read; `values` builds it
-  // on the calling thread, before its blocks read it.
+  // Built on first use, once the unit lists can be read; `intern` and
+  // `values` build it on the calling thread, before other lists or blocks.
   private lazy val unitTables = new UnitTables
+
+  /** `top`'s row in the table of distinct lists, the unit lists (read
+    * through `topFn`) first; call it from one thread, not during [[values]].
+    */
+  def intern(top: TopIds): Int = { if (!allPair) unitTables; lists.idOf(top) }
+
+  /** Unit [x, x + 1]'s [[intern]] id (not for the all-pair metrics). */
+  def unitId(x: Int): Int = unitTables.listOf(x)
 
   /** One thread's working arrays for the Eq. 6 kernel. */
   private final class Scratch(val t: UnitTables) {
     // The object→centroid term of the current cell per unit list, valid
     // where seen(u) == cell.
-    val toCentroidTerm = new Array[Double](t.listRep.length)
-    val seen = new Array[Int](t.listRep.length)
+    val toCentroidTerm = new Array[Double](t.unitIds)
+    val seen = new Array[Int](t.unitIds)
     var cell = 0
     // The centroid→object term of the current centroid list per object.
     val toObjectTerm = new Array[Double](if (toObject) nUnits else 0)
@@ -156,7 +166,6 @@ final class SegmentCosts(
     val cseg = Segment(i, j)
     val cIdcg = if (toCentroid) ndcg.dcgSelf(cseg, ctop) else 0.0
     val of = sc.t.listOf
-    val rep = sc.t.listRep
     val toC = sc.toCentroidTerm
     val toO = sc.toObjectTerm
     sc.cell += 1
@@ -167,7 +176,7 @@ final class SegmentCosts(
       var a = 0.0
       if (toCentroid) {
         val u = of(x)
-        if (sc.seen(u) != cell) { toC(u) = ndcg.ndcgGiven(cIdcg, cseg, rep(u)); sc.seen(u) = cell }
+        if (sc.seen(u) != cell) { toC(u) = ndcg.ndcgGiven(cIdcg, cseg, lists.reps(u)); sc.seen(u) = cell }
         a = toC(u)
       }
       val d =
@@ -194,59 +203,53 @@ final class SegmentCosts(
       eq6Var(i, j, ctop, sc)
     }
 
-  /** Writes the costs of cells `from until until` into `out`. For the Eq. 6
-    * metrics the cells are taken group by group, a group being the cells
-    * with equal centroid lists in cell order, so by ascending start. A group
-    * computes its centroid→object terms once for each object some cell of
-    * it covers.
+  /** Writes the costs of the cells `order(from until until)` into `out`.
+    * `order` lists the cells group by group, a group being the cells with
+    * one centroid list id, in cell order, so by ascending start. A group
+    * computes its centroid→object terms once for each object some cell of it
+    * covers.
     */
-  private def valuesBlock(cells: KSegmentation.Cells, lists: Array[TopIds], from: Int, until: Int,
-      tables: UnitTables, out: Array[Double]): Unit =
-    if (allPair) {
+  private def valuesBlock(cells: KSegmentation.Cells, ids: Array[Int], order: Array[Int], from: Int, until: Int,
+      tables: UnitTables, out: Array[Double]): Unit = {
+    val sc = new Scratch(tables)
+    var run = -1 // the group of the current run
+    var covered = 0 // its objects from its last cell's start until covered hold their terms
+    var r = from
+    while (r < until) {
+      val k = order(r)
+      val i = cells.start(k)
+      val j = cells.end(k)
+      val ctop = lists.reps(ids(k))
+      if (toObject) {
+        if (ids(k) != run) { run = ids(k); covered = 0 }
+        if (j > covered) { toObjectTerms(ctop, math.max(i, covered), j, sc); covered = j }
+      }
+      out(k) = eq6Var(i, j, ctop, sc)
+      r += 1
+    }
+  }
+
+  /** The cost of each of `cells`, in cell order, with `ids(k)` the [[intern]]
+    * id of cell k's top list (not read by the all-pair metrics). Computed in
+    * parallel blocks on the JVM's common ForkJoinPool; `topFn`, which gives
+    * the unit lists here, must be safe to call from several threads, as a
+    * lookup in an already filled table is. Memoizes nothing.
+    */
+  def values(cells: KSegmentation.Cells, ids: Array[Int]): Array[Double] = {
+    val out = new Array[Double](cells.size)
+    if (allPair) Blocks.run(cells.size) { (from, until) =>
       var k = from
       while (k < until) { out(k) = allPairVar(cells.start(k), cells.end(k)); k += 1 }
     } else {
-      val size = until - from
-      // The cells by group (a counting sort), unless the metric skips the
-      // centroid→object term.
-      val order = Array.range(from, until)
-      val group = new Array[Int](size)
-      if (toObject) {
-        val ids = new SegmentCosts.ListIds(size)
-        for (k <- 0 until size) group(k) = ids.idOf(lists(from + k))
-        val next = new Array[Int](ids.reps.size + 1)
-        for (g <- group) next(g + 1) += 1
-        for (g <- 1 until next.length) next(g) += next(g - 1)
-        for (k <- 0 until size) { order(next(group(k))) = from + k; next(group(k)) += 1 }
-      }
-      val sc = new Scratch(tables)
-      var run = -1 // the group of the current run
-      var covered = 0 // its objects from its last cell's start until covered hold their terms
-      var r = 0
-      while (r < size) {
-        val k = order(r)
-        val i = cells.start(k)
-        val j = cells.end(k)
-        val ctop = lists(k)
-        if (toObject) {
-          if (group(k - from) != run) { run = group(k - from); covered = 0 }
-          if (j > covered) { toObjectTerms(ctop, math.max(i, covered), j, sc); covered = j }
-        }
-        out(k) = eq6Var(i, j, ctop, sc)
-        r += 1
-      }
+      val tables = unitTables
+      // The cells by list id, a stable counting sort; the blocks take slices.
+      val next = new Array[Int](lists.reps.size + 1)
+      for (id <- ids) next(id + 1) += 1
+      for (g <- 1 until next.length) next(g) += next(g - 1)
+      val order = new Array[Int](cells.size)
+      for (k <- 0 until cells.size) { order(next(ids(k))) = k; next(ids(k)) += 1 }
+      Blocks.run(cells.size)((from, until) => valuesBlock(cells, ids, order, from, until, tables, out))
     }
-
-  /** The cost of each of `cells`, in cell order, with `lists(k)` the top list
-    * of cell k (not read by the all-pair metrics). Computed in parallel
-    * blocks on the JVM's common ForkJoinPool; `topFn`, which gives the unit
-    * lists here, must be safe to call from several threads, as a lookup in
-    * an already filled table is. Memoizes nothing.
-    */
-  def values(cells: KSegmentation.Cells, lists: Array[TopIds]): Array[Double] = {
-    val out = new Array[Double](cells.size)
-    val tables = if (allPair) null else unitTables
-    Blocks.run(cells.size)((from, until) => valuesBlock(cells, lists, from, until, tables, out))
     out
   }
 
@@ -257,28 +260,29 @@ final class SegmentCosts(
 
 object SegmentCosts {
 
-  /** Whether two lists rank the same ids with the same τs, all that the
-    * Eq. 6 kernel reads of a list besides its own segment.
-    */
-  private def sameList(a: TopIds, b: TopIds): Boolean =
-    java.util.Arrays.equals(a.ids, b.ids) && java.util.Arrays.equals(a.taus, b.taus)
+  private final class Key(var t: TopIds) {
+    override def hashCode: Int = java.util.Arrays.hashCode(t.ids) * 31 + java.util.Arrays.hashCode(t.taus)
+    override def equals(o: Any): Boolean = o match {
+      case k: Key => java.util.Arrays.equals(t.ids, k.t.ids) && java.util.Arrays.equals(t.taus, k.t.taus)
+      case _ => false
+    }
+  }
 
-  /** Ids 0, 1, … for at most `capacity` lists by [[sameList]], in order of
-    * first sight; `reps(u)` is the first list given id u. An open-addressing
-    * table of the lists' hashes, so a lookup allocates nothing.
+  /** Ids 0, 1, … for lists in order of first sight, two lists sharing one
+    * when they rank the same ids with the same τs; `reps(u)` is the first
+    * list given id u. A lookup allocates nothing: it probes with one
+    * reusable key.
     */
-  private final class ListIds(capacity: Int) {
-    private val slots = new Array[Int](Integer.highestOneBit(math.max(1, 2 * capacity)) * 2) // id + 1; 0 is empty
-    private val mask = slots.length - 1
-    private val shift = Integer.numberOfLeadingZeros(mask)
+  private final class ListIds {
+    private val index = new java.util.HashMap[Key, Integer]
+    private val probe = new Key(null)
     val reps = scala.collection.mutable.ArrayBuffer.empty[TopIds]
 
     def idOf(t: TopIds): Int = {
-      val hash = java.util.Arrays.hashCode(t.ids) * 31 + java.util.Arrays.hashCode(t.taus)
-      var slot = hash * 0x9e3779b9 >>> shift
-      while (slots(slot) != 0 && !sameList(reps(slots(slot) - 1), t)) slot = (slot + 1) & mask
-      if (slots(slot) == 0) { reps += t; slots(slot) = reps.size }
-      slots(slot) - 1
+      probe.t = t
+      val id = index.get(probe)
+      if (id != null) id
+      else { index.put(new Key(t), reps.size); reps += t; reps.size - 1 }
     }
   }
 }

@@ -12,6 +12,10 @@ import repro.core.KSegmentation.Cells
   * `kMax` bounds the K-variance curve and `fixedK` picks K instead of the
   * elbow. Both are capped at the candidate cut positions − 1: n − 1, or
   * |S| − 1 with sketching (O2). A larger value gives the capped result.
+  *
+  * `filterRatio` keeps E when |s_E(t)| ≥ ratio·|total(t)| at some t
+  * ([[ExplCube.filtered]]): where a signed total nears zero, nearly every
+  * explanation passes, and where it is zero, every one.
   */
 final case class TSConfig(
     m: Int = 3,
@@ -35,7 +39,7 @@ final case class TSConfig(
 }
 
 /** Wall-clock breakdown matching Figure 15's three pipeline modules; `caMs`
-  * is the time spent getting top-m lists from the [[TopLists]] source.
+  * is the time spent solving top-m lists, the chosen segments' read-back too.
   */
 final case class Timings(precomputeMs: Double, caMs: Double, ksegMs: Double) {
   def totalMs: Double = precomputeMs + caMs + ksegMs
@@ -119,66 +123,53 @@ object TSExplain {
     val precomputeMs = (System.nanoTime() - t0) / 1e6
     val n = cube.n
 
-    // Each DP run's cells come with their top lists, in cell order. Every
-    // unit's list is solved first, in its own batch, after the first run's
-    // cells are listed; `fill` gives cells the rest, so no segment is solved
-    // twice. The all-pair metrics read unit lists only.
+    // Each DP run's cells come with their list ids, in cell order: rows of
+    // the costs' table of distinct lists (−1 where the metric reads none).
+    // Every unit's list is solved first, in its own batch, after the first
+    // run's cells are listed; `fill` then solves each other segment once.
     val allPair = cfg.metric == VarianceMetric.AllPair || cfg.metric == VarianceMetric.SAllPair
     var topNanos = 0L
+    def timed[A](body: => A): A = { val s = System.nanoTime(); try body finally topNanos += System.nanoTime() - s }
     def solve(segments: Array[Segment]): Array[TopIds] =
-      if (segments.isEmpty) Array.empty
-      else {
-        val s = System.nanoTime()
-        val got = tops(cube, cfg, ArraySeq.unsafeWrapArray(segments))
-        topNanos += System.nanoTime() - s
-        got
-      }
+      if (segments.isEmpty) Array.empty else timed(tops(cube, cfg, ArraySeq.unsafeWrapArray(segments)))
 
     val t1 = System.nanoTime()
     val all = (0 until n).toVector
     // The first DP run: with O2, sketch phase I over the band.
     val first = if (cfg.sketch) new Cells(all, Sketch.sketchSize(n), Sketch.maxSegLen(n)) else new Cells(all, cfg.kMax, n)
-    val firstLists = new Array[TopIds](first.size)
     val unitLists = solve(Array.tabulate(n - 1)(x => Segment(x, x + 1)))
-    // `values` reads the unit lists through topFn.
+    // The costs read the unit lists through topFn and intern them first.
     val costs = new SegmentCosts(cube, cfg.metric, s => unitLists(s.i))
 
-    // Gives each cell ks(r) of `cells` that lacks a list in `lists` one: a
-    // unit's, or one the first run has, or else one solved in one batch.
-    def fill(cells: Cells, lists: Array[TopIds], ks: Array[Int]): Array[TopIds] = {
-      val todo = new Array[Int](ks.length)
+    // The list ids of `cells`: a unit's, or the first run's (`firstIds`,
+    // once it has them), or else that of a list solved in one batch.
+    def fill(cells: Cells, firstIds: Array[Int]): Array[Int] = {
+      val ids = new Array[Int](cells.size)
+      val todo = new Array[Int](cells.size)
       var size = 0
-      var r = 0
-      while (r < ks.length) {
-        val k = ks(r)
-        if (lists(k) == null) {
-          val i = cells.start(k)
-          val j = cells.end(k)
-          lists(k) = if (j - i == 1) unitLists(i) else { val e = first.indexOf(i, j); if (e < 0) null else firstLists(e) }
-          if (lists(k) == null) { todo(size) = k; size += 1 }
-        }
-        r += 1
+      var k = 0
+      while (k < cells.size) {
+        val i = cells.start(k)
+        val e = if (firstIds == null) -1 else first.indexOf(i, cells.end(k))
+        ids(k) = if (allPair) -1 else if (cells.end(k) - i == 1) costs.unitId(i) else if (e >= 0) firstIds(e) else { todo(size) = k; size += 1; -1 }
+        k += 1
       }
       val got = solve(Array.tabulate(size)(t => Segment(cells.start(todo(t)), cells.end(todo(t)))))
-      for (t <- 0 until size) lists(todo(t)) = got(t)
-      lists
+      for (t <- 0 until size) ids(todo(t)) = costs.intern(got(t))
+      ids
     }
-    // The cells whose lists a run's costs read.
-    def read(cells: Cells): Array[Int] = if (allPair) Array.emptyIntArray else Array.range(0, cells.size)
 
-    fill(first, firstLists, read(first))
-    val candidates = if (cfg.sketch) Sketch.cuts(KSegmentation.dp(first, costs.values(first, firstLists))) else all
+    val firstIds = fill(first, null)
+    val candidates = if (cfg.sketch) Sketch.cuts(KSegmentation.dp(first, costs.values(first, firstIds))) else all
     val cells = if (cfg.sketch) new Cells(candidates, cfg.kMax, n) else first
-    val lists = if (cfg.sketch) fill(cells, new Array[TopIds](cells.size), read(cells)) else firstLists
-    val dpRes = KSegmentation.dp(cells, costs.values(cells, lists))
+    val ids = if (cfg.sketch) fill(cells, firstIds) else firstIds
+    val dpRes = KSegmentation.dp(cells, costs.values(cells, ids))
     val curve = dpRes.curve
     val k = cfg.fixedK.map(math.min(_, cells.kCap)).getOrElse(Elbow.select(curve))
     val scheme = dpRes.schemes(k - 1).get
-    // The chosen segments are cells of the last run; only the all-pair
-    // metrics have not solved them yet.
-    val chosen = scheme.segments.map(s => cells.indexOf(s.i, s.j)).toArray
-    fill(cells, lists, chosen)
-    val perSegment = scheme.segments.zip(chosen).map { case (s, c) => s -> CascadingAnalysts.pretty(cube, lists(c)) }
+    // An id stands for every segment with its ranking, but γ and Best are
+    // the solved segment's: the ≤ kMax chosen ones are solved again here.
+    val perSegment = timed(scheme.segments.map(TopLists.solver(cube, cfg)).map(t => t.seg -> CascadingAnalysts.pretty(cube, t)))
     val stageNanos = System.nanoTime() - t1
     val caMs = topNanos / 1e6
     val ksegMs = math.max(0.0, stageNanos / 1e6 - caMs)

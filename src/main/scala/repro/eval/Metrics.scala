@@ -36,9 +36,11 @@ object Metrics {
   }
 
   /** Uniformly sample a random K-segmentation of n points: K−1 distinct
-    * interior cuts out of positions 1..n−2.
+    * interior cuts out of positions 1..n−2. A K outside 1..n−1 has no such
+    * scheme and is an `IllegalArgumentException`.
     */
   def randomScheme(n: Int, k: Int, rnd: Random): SegScheme = {
+    require(k >= 1 && k <= n - 1, s"no $k-segmentation of $n points: need 1 <= k <= n - 1 (n = $n, k = $k)")
     val interior = scala.collection.mutable.SortedSet.empty[Int]
     while (interior.size < k - 1) interior += 1 + rnd.nextInt(n - 2)
     SegScheme(0 +: interior.toVector :+ (n - 1))

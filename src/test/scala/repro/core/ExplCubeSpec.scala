@@ -134,6 +134,28 @@ class ExplCubeSpec extends AnyFunSuite {
     assert(f.contains(Expl.of("a" -> "x", "b" -> "1")))
   }
 
+  test("filtered under a signed measure keeps nearly everything where the total nears zero") {
+    // The bar at t is ratio·|total(t)|, so where gains and losses cancel it
+    // nearly vanishes, and at an exact zero every explanation clears it.
+    def cube(lossAt2: Double, small: Array[Double]): ExplCube = {
+      val gain = Array(100.0, 200.0, 50.0, 300.0)
+      val loss = Array(-50.0, -100.0, lossAt2, -100.0)
+      val total = Array.tabulate(4)(t => gain(t) + loss(t) + small(t))
+      ExplCube.fromSeries(Seq("a"), (0 until 4).map(_.toString), total,
+        Seq(Expl.of("a" -> "gain") -> gain, Expl.of("a" -> "loss") -> loss, Expl.of("a" -> "small") -> small))
+    }
+    val tiny = Array(0.01, 0.01, 0.01, 0.01)
+    // total = 50.01, 100.01, 10.01, 200.01: tiny is below 0.001 of it at every t.
+    assert(cube(-40.0, tiny).filtered(0.001).expls.map(_.toString) == Vector("a=gain", "a=loss"))
+    // total(2) = 0.01: the bar there is 1e-5, and tiny clears it.
+    assert(cube(-50.0, tiny).filtered(0.001).expls.map(_.toString) == Vector("a=gain", "a=loss", "a=small"))
+    // total(2) = 0: the bar there is 0, and an all-zero series clears it.
+    val zero = cube(-50.0, new Array[Double](4))
+    assert(zero.total(2) == 0.0)
+    assert(zero.filtered(0.001).expls.map(_.toString) == Vector("a=gain", "a=loss", "a=small"))
+    assert(zero.filtered(0.999).expls.map(_.toString) == Vector("a=gain", "a=loss", "a=small"))
+  }
+
   test("dedupIdenticalSeries keeps the lowest-order representative") {
     val total = Array(10.0, 20.0)
     val sub = Expl.of("sub" -> "s1") -> Array(10.0, 20.0)

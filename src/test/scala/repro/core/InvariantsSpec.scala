@@ -210,6 +210,49 @@ class InvariantsSpec extends AnyFunSuite {
     val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(Seed(2035L)), prop)
     assert(result.passed, result.status)
   }
+
+  test("reversing time mirrors every scheme's score and negates every list's τs") {
+    def close(a: Double, b: Double): Boolean = math.abs(a - b) <= 1e-9 * math.max(math.abs(a), math.abs(b))
+    def costsOf(cube: ExplCube): SegmentCosts = {
+      val ca = new CascadingAnalysts(cube, 3)
+      val cache = scala.collection.mutable.Map.empty[Segment, TopIds]
+      new SegmentCosts(cube, VarianceMetric.Tse, s => cache.getOrElseUpdate(s, ca.topIds(s)))
+    }
+    var untied = 0
+    val prop = Prop.forAllNoShrink(relations) { rel =>
+      val n = rel.n
+      val cube = rel.cube
+      val reversed = rel.copy(records = rel.records.map { case (vs, t, m) => (vs, n - 1 - t, m) }).cube
+      def mirror(s: Segment): Segment = Segment(n - 1 - s.j, n - 1 - s.i)
+      val costs = costsOf(cube)
+      val revCosts = costsOf(reversed)
+      val all = (0 until n).toVector
+      val dp = KSegmentation.dp(costs.cost, all, n - 1)
+      val revDp = KSegmentation.dp(revCosts.cost, all, n - 1)
+      // The kernel sums a reversed segment's objects in the other order, so
+      // scores agree to rounding, and equal scores can pick other schemes.
+      val curves = dp.curve.size == revDp.curve.size && dp.curve.zip(revDp.curve).forall { case (a, b) => close(a, b) }
+      val schemes = revDp.schemes.zipWithIndex.forall { case (s, k) =>
+        close(costs.objective(SegScheme(s.get.cuts.map(n - 1 - _).reverse)), dp.curve(k))
+      }
+      // CA reads the same γs, bit for bit, on a segment and its mirror, so
+      // picks the same ids; on ties the ranking is defined only up to them.
+      val lists = tied(cube, 3) || {
+        untied += 1
+        val ca = new CascadingAnalysts(cube, 3)
+        val revCa = new CascadingAnalysts(reversed, 3)
+        (0 until n).forall(i => (i + 1 until n).forall { j =>
+          val a = ca.topIds(mirror(Segment(i, j)))
+          val b = revCa.topIds(Segment(i, j))
+          a.ids.toSeq == b.ids.toSeq && a.taus.toSeq == b.taus.toSeq.map(-_)
+        })
+      }
+      (curves :| "curves") && (schemes :| "mirrored schemes") && (lists :| "lists")
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(50).withInitialSeed(Seed(2036L)), prop)
+    assert(result.passed, result.status)
+    assert(untied >= 10, s"only $untied untied relations")
+  }
 }
 
 object InvariantsSpec {

@@ -172,7 +172,7 @@ class KSegmentationSpec extends AnyFunSuite {
     val units = Array.tabulate(n - 1)(x => ca.topIds(Segment(x, x + 1)))
     val costs = new SegmentCosts(cube, VarianceMetric.Tse, s => if (s.length == 1) units(s.i) else ca.topIds(s))
     val cells = new KSegmentation.Cells(Vector(0, 10), 1, 10)
-    val want = costs.values(cells, Array(ca.topIds(Segment(0, 10))))(0)
+    val want = costs.values(cells, Array(costs.intern(ca.topIds(Segment(0, 10)))))(0)
     assert(java.lang.Double.doubleToRawLongBits(costs.cost(0, 10)) == java.lang.Double.doubleToRawLongBits(want))
   }
 

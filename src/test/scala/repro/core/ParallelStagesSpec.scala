@@ -39,6 +39,15 @@ class ParallelStagesSpec extends AnyFunSuite {
     ExplCube.fromRecords(attrs, (0 until n).map(_.toString), recs)
   }
 
+  /** A cube over one attribute × 3 values whose series rise at rates 1, 3
+    * and 9 until the middle and fall after it, so few distinct lists exist
+    * and each has many cells.
+    */
+  def trendCube(n: Int): ExplCube = {
+    val recs = for (v <- 0 until 3; t <- 0 until n) yield (Map("A0" -> s"v$v"), t, math.pow(3, v) * (n / 2 - math.abs(t - n / 2)))
+    ExplCube.fromRecords(Seq("A0"), (0 until n).map(_.toString), recs)
+  }
+
   /** Every segment's CA list, in a table filled up front (so reading it is
     * safe from several threads).
     */
@@ -118,13 +127,30 @@ class ParallelStagesSpec extends AnyFunSuite {
       assert(cells.size == allSegments(cube.n).size)
       for (metric <- VarianceMetric.all) {
         val lazyCosts = new SegmentCosts(cube, metric, top)
-        val values = new SegmentCosts(cube, metric, top).values(cells, lists)
+        val costs = new SegmentCosts(cube, metric, top)
+        val values = costs.values(cells, lists.map(costs.intern))
         for (k <- 0 until cells.size) {
           val s = Segment(cells.start(k), cells.end(k))
           assert(sameBits(values(k), lazyCosts.cost(s.i, s.j)), s"${metric.name} $s")
         }
       }
     }
+  }
+
+  test("intern gives lists one row per distinct ranking, units first, then in order of first sight") {
+    val rnd = new Random(23)
+    val cube = wideCube(rnd, n = 24)
+    val top = topTable(cube)
+    val costs = new SegmentCosts(cube, VarianceMetric.Tse, top)
+    def key(s: Segment) = (top(s).ids.toSeq, top(s).taus.toSeq)
+    val segs = allSegments(cube.n).sortBy(s => (-s.length, s.i)) // units last
+    val unitKeys = (0 until cube.n - 1).map(x => key(Segment(x, x + 1))).distinct
+    val rows = unitKeys ++ segs.map(key).distinct.filterNot(unitKeys.contains)
+    assert(rows.size > 64, "many rows")
+    val ids = segs.map(s => costs.intern(top(s)))
+    assert(ids == segs.map(s => rows.indexOf(key(s))))
+    assert((0 until cube.n - 1).forall(x => costs.unitId(x) == rows.indexOf(key(Segment(x, x + 1)))))
+    assert(segs.reverse.map(s => costs.intern(top(s))) == ids.reverse, "a second pass finds the same rows")
   }
 
   /** The per-object cost kernel of the version before the lookup kernel:
@@ -168,10 +194,10 @@ class ParallelStagesSpec extends AnyFunSuite {
   test("band and sketch values and lazy costs equal the per-object kernel") {
     val rnd = new Random(31)
     val maxLen = 4
-    for ((cube, flat) <- Seq(flatCube(rnd, n = 40) -> true, wideCube(rnd, n = 30) -> false)) {
+    for ((cube, kind) <- Seq(flatCube(rnd, n = 40) -> "flat", wideCube(rnd, n = 30) -> "wide", trendCube(n = 40) -> "trend")) {
       val n = cube.n
       val top = topTable(cube)
-      if (flat) {
+      if (kind == "flat") {
         assert(new Ndcg(cube).dcgSelf(Segment(7, 8), top(Segment(7, 8))) == 0.0, "a flat unit")
         assert(allSegments(n).exists(s => (0 until n - 1).exists(x =>
           top(s).ids.exists(id => cube.tau(id, Segment(x, x + 1)) == 0))), "a listed explanation with τ = 0 on a unit")
@@ -179,20 +205,26 @@ class ParallelStagesSpec extends AnyFunSuite {
       val band = cellsWithLists((0 until n).toVector, maxLen, top)
       val positions = (0 +: (1 until n - 1).filter(_ => rnd.nextDouble() < 0.6) :+ (n - 1)).toVector
       val pairs = cellsWithLists(positions, n, top)
-      // The second call computes the pairs in Blocks.run's blocks; some
-      // centroid list has cells in two of them.
+      // The second call computes the pairs in Blocks.run's blocks, slices
+      // of the cells ordered by list id; on the trend cube some centroid
+      // list has cells in two of them. Every Eq. 6 instance below interns
+      // the same lists in the same order, so gives them these ids.
+      val probe = new SegmentCosts(cube, VarianceMetric.Tse, top)
+      band._2.foreach(probe.intern)
+      val pairIds = pairs._2.map(probe.intern)
       val size = pairs._1.size
       val blocks = math.min(size / Blocks.MinSize, 4 * (java.util.concurrent.ForkJoinPool.getCommonPoolParallelism + 1))
       assert(blocks >= 2, "the pairs span several blocks")
-      val blockOf = (0 until size).map(k => (0 until blocks).indexWhere(b => k < (b + 1).toLong * size / blocks))
-      val listBlocks = (0 until size).groupBy(k => (pairs._2(k).ids.toSeq, pairs._2(k).taus.toSeq)).values
-      assert(listBlocks.exists(ks => ks.map(blockOf).distinct.size > 1), "a centroid list cut apart by a block split")
+      val order = (0 until size).sortBy(pairIds(_))
+      if (kind == "trend")
+        assert((1 until blocks).map(b => (b.toLong * size / blocks).toInt).exists(r => pairIds(order(r - 1)) == pairIds(order(r))),
+          "a centroid list cut apart by a block split")
       for (metric <- VarianceMetric.all) {
         val ref = perObjectVar(cube, metric, top) _
         val costs = new SegmentCosts(cube, metric, top)
         val lazyCosts = new SegmentCosts(cube, metric, top)
         for ((cells, lists) <- Seq(band, pairs)) {
-          val values = costs.values(cells, lists)
+          val values = costs.values(cells, lists.map(costs.intern))
           for (k <- 0 until cells.size) {
             val s = Segment(cells.start(k), cells.end(k))
             val want = ref(s.i, s.j)

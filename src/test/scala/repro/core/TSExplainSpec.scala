@@ -150,8 +150,9 @@ class TSExplainSpec extends AnyFunSuite {
   // ------------------------------------------- the pipeline as public calls
 
   /** `explain` recomposed from each layer's public calls, solving a
-    * segment's top list when a layer first reads it; also returns the
-    * segments solved, in that order.
+    * segment's top list when the costs first read it; also returns the
+    * segments solved, in that order. Read-back solves the chosen segments
+    * again, outside that record.
     */
   def recompose(cube0: ExplCube, cfg: TSConfig): (Explanation, Seq[Segment]) = {
     val smoothed = cfg.smoothWindow.fold(cube0)(cube0.smoothed)
@@ -167,7 +168,7 @@ class TSExplainSpec extends AnyFunSuite {
     val dp = KSegmentation.dp(costs.cost, candidates, kCap)
     val k = cfg.fixedK.fold(Elbow.select(dp.curve))(k0 => math.max(1, math.min(k0, kCap)))
     val scheme = dp.schemes(k - 1).get
-    val perSegment = scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, top(s)))
+    val perSegment = scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, solve(s)))
     val curve = dp.curve.zipWithIndex.map { case (v, i) => (i + 1, v) }
     (Explanation(scheme, dp.curve(k - 1), perSegment, curve), solved.keys.toVector)
   }

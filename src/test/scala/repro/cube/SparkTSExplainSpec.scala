@@ -47,6 +47,17 @@ class SparkTSExplainSpec extends SparkSpec {
     sameAsDriver(liquor, TSConfig(filterRatio = Some(0.001)).withAllOpts)
   }
 
+  // Read-back solves the chosen segments again: the all-pair metrics read
+  // only unit lists from the source, and O2's phase II reads lists of both
+  // the band and its own batch.
+  test("explain on Spark top lists equals the driver (all-pair metric)") {
+    sameAsDriver(ds.cube, TSConfig(metric = VarianceMetric.AllPair, kMax = 10))
+  }
+
+  test("explain on Spark top lists equals the driver (fixed K + O2)") {
+    sameAsDriver(ds.cube, TSConfig(fixedK = Some(ds.k), sketch = true))
+  }
+
   test("explainGrouped runs the full DP per grouped series and matches driver results") {
     import spark.implicits._
     val dss = (1 to 4).map(i => i.toString -> SyntheticGen.generate(n = 30, snrDb = 40, seed = 100 + i))

@@ -48,6 +48,18 @@ class MetricsSpec extends AnyFunSuite {
     assert(seen.size > 10)
   }
 
+  test("randomScheme rejects more segments than n − 1, naming n and k, instead of looping") {
+    val e = intercept[IllegalArgumentException](Metrics.randomScheme(n = 10, k = 10, new Random(1)))
+    assert(e.getMessage.contains("n = 10, k = 10"))
+    assert(Metrics.randomScheme(n = 10, k = 9, new Random(1)).cuts == (0 until 10).toVector)
+  }
+
+  test("randomScheme rejects k ≥ 2 on 2 points, naming n and k, instead of drawing from nothing") {
+    val e = intercept[IllegalArgumentException](Metrics.randomScheme(n = 2, k = 2, new Random(1)))
+    assert(e.getMessage.contains("n = 2, k = 2"))
+    assert(Metrics.randomScheme(n = 2, k = 1, new Random(1)).cuts == Vector(0, 1))
+  }
+
   test("groundTruthRank is 1 when the truth is the unique optimum") {
     // clean dataset: the planted segmentation minimizes tse variance
     val ds = SyntheticGen.generate(n = 60, snrDb = 50, seed = 21)
