@@ -15,9 +15,14 @@ package repro.core
   * `solve` walks the cube's int-array drill-down index
   * ([[ExplCube.DrillDown]]) and memoizes the per-context score vector
   * Best_ctx[0..m]; the memo is reused across segments and O1's guesses via
-  * version stamps, and the knapsack tables of `solve` and `backtrack` are
-  * preallocated once per drill-down depth, so a segment allocates only its
-  * answer. Instances are NOT thread-safe — create one per thread/task.
+  * version stamps. A leaf child (no child group, or depth ≥ β̄) has Best =
+  * (0, γ, …, γ); a knapsack row is nondecreasing in the quota and IEEE
+  * addition is monotone, so max over w of row(q − w) + γ is row(q − 1) + γ,
+  * and a leaf folds in as max(row(q), row(q − 1) + γ), in O(m), with no memo
+  * entry. Each child group keeps its knapsack rows in one flat table of
+  * Σ (kids + 1)·(m + 1) doubles (967 KiB at ε = 9,349 and m = 3), which
+  * `backtrack` reads; a segment allocates only its answer. Instances are NOT
+  * thread-safe — create one per thread/task.
   *
   * @param cube     explanation cube with γ/τ lookups and drill-down adjacency
   * @param m        explanation quota (paper default 3)
@@ -29,7 +34,6 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   private val eps = cube.epsilon
   private val dd = cube.drillDown
   private val all = Array.fill(eps)(true)
-  private val zeros = new Array[Double](m + 1)
   // memo(id + 1)(q) = best score of subtree rooted at context id with quota q;
   // id -1 is the virtual root (empty conjunction, not selectable).
   private val memo = Array.fill(eps + 1)(new Array[Double](m + 1))
@@ -41,19 +45,17 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   private val selected = new Array[Int](m)
   private var nSelected = 0
 
-  // A context's depth is its order (the root's is 0); only depths below β̄
-  // drill down. The knapsack tables of a context stay live while its
-  // children (one depth deeper) are solved or backtracked, so each depth
-  // has its own: `cur` (m + 1) for solve; `rows` and `take`, (kids + 1)
-  // rows of stride m + 1 for the widest child group, for backtrack.
-  private val depth = Array.tabulate(eps + 1)(slot => if (slot == 0) 0 else cube.expls(slot - 1).order)
-  private val widest = (0 until dd.childStart.length - 1).iterator
-    .map(g => dd.childStart(g + 1) - dd.childStart(g)).foldLeft(0)(math.max)
-  private val cur = Array.fill(maxOrder + 1)(new Array[Double](m + 1))
-  private val rows = Array.fill(maxOrder + 1)(new Array[Double]((widest + 1) * (m + 1)))
-  private val take = Array.fill(maxOrder + 1)(new Array[Int]((widest + 1) * (m + 1)))
-
-  private def drills(slot: Int): Boolean = depth(slot) < maxOrder
+  // leaf(id + 1): the context drills into nothing, having no child group or
+  // a depth (its order; the root's is 0) of at least β̄.
+  private val leaf = Array.tabulate(eps + 1)(slot => dd.groupStart(slot) == dd.groupStart(slot + 1) ||
+    (if (slot == 0) 0 else cube.expls(slot - 1).order) >= maxOrder)
+  // Group g's knapsack rows, stride m + 1, from (childStart(g) + g)·(m + 1):
+  // a zero row, then one per active child of the segment, kids(g) of them,
+  // the r-th being kid(childStart(g) + r).
+  private val stride = m + 1
+  private val rows = new Array[Double]((dd.childIds.length + dd.childStart.length - 1) * stride)
+  private val kids = new Array[Int](dd.childStart.length - 1)
+  private val kid = new Array[Int](dd.childIds.length)
 
   private def solve(id: Int): Array[Double] = {
     val slot = id + 1
@@ -66,34 +68,41 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
       if (g > 0) java.util.Arrays.fill(out, 1, m + 1, g)
     }
     // Option 2: drill down on one remaining attribute; knapsack the quota
-    // over that attribute's active children.
-    if (drills(slot)) {
-      val cur = this.cur(depth(slot))
+    // over that attribute's active children, a row per child. A leaf's
+    // Best(w) is γ for every w ≥ 1, so only its share w = 1 can win.
+    if (!leaf(slot)) {
       var g = dd.groupStart(slot)
       while (g < dd.groupStart(slot + 1)) {
-        java.util.Arrays.fill(cur, 0.0)
+        var row = (dd.childStart(g) + g) * stride
+        var r = dd.childStart(g)
         var c = dd.childStart(g)
         while (c < dd.childStart(g + 1)) {
           val childId = dd.childIds(c)
           if (active(childId)) {
-            val child = solve(childId)
-            var q = m
-            while (q >= 1) {
+            val next = row + stride
+            val child = if (leaf(childId + 1)) null else solve(childId)
+            val gamma = cube.gamma(childId, seg)
+            var q = 1
+            while (q <= m) {
+              var best = rows(row + q)
               var w = 1
-              var best = cur(q)
-              while (w <= q) {
-                val v = cur(q - w) + child(w)
+              while (w <= (if (child == null) 1 else q)) {
+                val v = rows(row + q - w) + (if (child == null) gamma else child(w))
                 if (v > best) best = v
                 w += 1
               }
-              cur(q) = best
-              q -= 1
+              rows(next + q) = best
+              q += 1
             }
+            kid(r) = childId
+            r += 1
+            row = next
           }
           c += 1
         }
+        kids(g) = r - dd.childStart(g)
         var q = 1
-        while (q <= m) { if (cur(q) > out(q)) out(q) = cur(q); q += 1 }
+        while (q <= m) { if (rows(row + q) > out(q)) out(q) = rows(row + q); q += 1 }
         g += 1
       }
     }
@@ -105,52 +114,42 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   }
 
   /** Re-walks the solved DP making argmax decisions to recover the selected
-    * explanation ids (scores are already memoized, so this is cheap).
+    * explanation ids from the memo and the kept rows.
     */
   private def backtrack(id: Int, q: Int): Unit = {
     if (q == 0) return
-    val target = solve(id)(q)
-    if (target <= 0.0) return
-    if (solve(id)(q - 1) == target) { backtrack(id, q - 1); return }
-    if (id >= 0 && cube.gamma(id, seg) == target) { selected(nSelected) = id; nSelected += 1; return }
     val slot = id + 1
-    if (drills(slot)) {
-      // rows(ci)(w) and take(ci)(w) at ci·(m + 1) + w.
-      val rows = this.rows(depth(slot))
-      val take = this.take(depth(slot))
-      val stride = m + 1
+    val target = memo(slot)(q)
+    if (target <= 0.0) return
+    if (memo(slot)(q - 1) == target) { backtrack(id, q - 1); return }
+    if (id >= 0 && cube.gamma(id, seg) == target) { selected(nSelected) = id; nSelected += 1; return }
+    if (!leaf(slot)) {
       var g = dd.groupStart(slot)
       while (g < dd.groupStart(slot + 1)) {
-        // Recompute this attribute's knapsack with backtrack pointers; an
-        // inactive child scores zero, so it never takes quota.
-        val from = dd.childStart(g)
-        val kids = dd.childStart(g + 1) - from
-        java.util.Arrays.fill(rows, 0, q + 1, 0.0)
-        var ci = 0
-        while (ci < kids) {
-          val childId = dd.childIds(from + ci)
-          val child = if (active(childId)) solve(childId) else zeros
-          val row = ci * stride
-          var w = 0
-          while (w <= q) {
-            var best = rows(row + w); var bw = 0
-            var u = 1
-            while (u <= w) {
-              val v = rows(row + w - u) + child(u)
-              if (v > best) { best = v; bw = u }
-              u += 1
+        var row = (dd.childStart(g) + g + kids(g)) * stride
+        if (rows(row + q) == target) {
+          // Each active child's share, until the quota is spent: the first u
+          // whose sum beats the row above strictly, as in solve (a leaf's
+          // Best(u) is γ).
+          var w = q
+          var r = kids(g)
+          while (r > 0 && w > 0) {
+            row -= stride
+            r -= 1
+            val childId = kid(dd.childStart(g) + r)
+            val child = if (leaf(childId + 1)) null else memo(childId + 1)
+            val gamma = cube.gamma(childId, seg)
+            var best = rows(row + w)
+            var u = 0
+            var v = 1
+            while (v <= w) {
+              val s = rows(row + w - v) + (if (child == null) gamma else child(v))
+              if (s > best) { best = s; u = v }
+              v += 1
             }
-            rows(row + stride + w) = best; take(row + stride + w) = bw
-            w += 1
-          }
-          ci += 1
-        }
-        if (rows(kids * stride + q) == target) {
-          var w = q; ci = kids
-          while (ci > 0) {
-            val u = take(ci * stride + w)
-            if (u > 0) backtrack(dd.childIds(from + ci - 1), u)
-            w -= u; ci -= 1
+            if (u > 0 && child == null) { selected(nSelected) = childId; nSelected += 1 }
+            else if (u > 0) backtrack(childId, u)
+            w -= u
           }
           return
         }

@@ -30,12 +30,12 @@ final class SegmentCosts(
 ) {
   private val ndcg = new Ndcg(cube)
   private val nUnits = cube.n - 1
+  private val allPair = metric == VarianceMetric.AllPair || metric == VarianceMetric.SAllPair
   // The two directions of Eq. 6: how well an object's list explains the
   // centroid (all Eq. 6 metrics but dist2) and how well the centroid's list
-  // explains an object (all but dist1).
+  // explains an object (all Eq. 6 metrics but dist1).
   private val toCentroid = metric != VarianceMetric.Dist2 && metric != VarianceMetric.SDist2
-  private val toObject = metric != VarianceMetric.Dist1 && metric != VarianceMetric.SDist1
-  private val allPair = metric == VarianceMetric.AllPair || metric == VarianceMetric.SAllPair
+  private val toObject = !allPair && metric != VarianceMetric.Dist1 && metric != VarianceMetric.SDist1
 
   // The unit segments (objects), built once: a fresh Segment per object
   // read in a cost loop allocates unless the JIT elides it.
@@ -94,7 +94,7 @@ final class SegmentCosts(
     val unitIds: Int = lists.reps.size
     // The unit change s_e(x + 1) − s_e(x) at e·(n − 1) + x, which the
     // centroid→object term of the Eq. 6 kernel reads.
-    val delta = new Array[Double](if (allPair || !toObject) 0 else cube.epsilon * nUnits)
+    val delta = new Array[Double](if (toObject) cube.epsilon * nUnits else 0)
     if (delta.nonEmpty) for (e <- 0 until cube.epsilon) {
       val s = cube.series(e)
       var x = 0
@@ -219,37 +219,36 @@ final class SegmentCosts(
       val k = order(r)
       val i = cells.start(k)
       val j = cells.end(k)
-      val ctop = lists.reps(ids(k))
+      val ctop = if (allPair) null else lists.reps(ids(k))
       if (toObject) {
         if (ids(k) != run) { run = ids(k); covered = 0 }
         if (j > covered) { toObjectTerms(ctop, math.max(i, covered), j, sc); covered = j }
       }
-      out(k) = eq6Var(i, j, ctop, sc)
+      out(k) = if (allPair) allPairVar(i, j) else eq6Var(i, j, ctop, sc)
       r += 1
     }
   }
 
   /** The cost of each of `cells`, in cell order, with `ids(k)` the [[intern]]
-    * id of cell k's top list (not read by the all-pair metrics). Computed in
-    * parallel blocks on the JVM's common ForkJoinPool; `topFn`, which gives
-    * the unit lists here, must be safe to call from several threads, as a
-    * lookup in an already filled table is. Memoizes nothing.
+    * id of cell k's top list (not read by the all-pair metrics); a cell of
+    * `prior` keeps its cost there, `priorCosts`, the bits it would get here.
+    * The others are computed in parallel blocks on the common ForkJoinPool;
+    * `topFn`, which gives the unit lists here, must be safe to call from
+    * several threads, as a lookup in an already filled table is.
     */
-  def values(cells: KSegmentation.Cells, ids: Array[Int]): Array[Double] = {
+  def values(cells: KSegmentation.Cells, ids: Array[Int], prior: KSegmentation.Cells = null,
+      priorCosts: Array[Double] = null): Array[Double] = {
     val out = new Array[Double](cells.size)
-    if (allPair) Blocks.run(cells.size) { (from, until) =>
-      var k = from
-      while (k < until) { out(k) = allPairVar(cells.start(k), cells.end(k)); k += 1 }
-    } else {
-      val tables = unitTables
-      // The cells by list id, a stable counting sort; the blocks take slices.
-      val next = new Array[Int](lists.reps.size + 1)
-      for (id <- ids) next(id + 1) += 1
-      for (g <- 1 until next.length) next(g) += next(g - 1)
-      val order = new Array[Int](cells.size)
-      for (k <- 0 until cells.size) { order(next(ids(k))) = k; next(ids(k)) += 1 }
-      Blocks.run(cells.size)((from, until) => valuesBlock(cells, ids, order, from, until, tables, out))
-    }
+    val tables = unitTables
+    def known(k: Int): Int = if (prior == null) -1 else prior.indexOf(cells.start(k), cells.end(k))
+    // The cells to compute by list id (the all-pair metrics' are all −1), a
+    // stable counting sort; the blocks take slices.
+    val next = new Array[Int](lists.reps.size + 2)
+    for (k <- 0 until cells.size) { val e = known(k); if (e >= 0) out(k) = priorCosts(e) else next(ids(k) + 2) += 1 }
+    for (g <- 1 until next.length) next(g) += next(g - 1)
+    val order = new Array[Int](next.last)
+    for (k <- 0 until cells.size) if (known(k) < 0) { order(next(ids(k) + 1)) = k; next(ids(k) + 1) += 1 }
+    Blocks.run(order.length)((from, until) => valuesBlock(cells, ids, order, from, until, tables, out))
     out
   }
 

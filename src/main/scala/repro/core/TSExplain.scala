@@ -160,10 +160,10 @@ object TSExplain {
     }
 
     val firstIds = fill(first, null)
-    val candidates = if (cfg.sketch) Sketch.cuts(KSegmentation.dp(first, costs.values(first, firstIds))) else all
+    val firstCosts = costs.values(first, firstIds)
+    val candidates = if (cfg.sketch) Sketch.cuts(KSegmentation.dp(first, firstCosts)) else all
     val cells = if (cfg.sketch) new Cells(candidates, cfg.kMax, n) else first
-    val ids = if (cfg.sketch) fill(cells, firstIds) else firstIds
-    val dpRes = KSegmentation.dp(cells, costs.values(cells, ids))
+    val dpRes = KSegmentation.dp(cells, if (cfg.sketch) costs.values(cells, fill(cells, firstIds), first, firstCosts) else firstCosts)
     val curve = dpRes.curve
     val k = cfg.fixedK.map(math.min(_, cells.kCap)).getOrElse(Elbow.select(curve))
     val scheme = dpRes.schemes(k - 1).get

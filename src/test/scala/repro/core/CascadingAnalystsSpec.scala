@@ -1,5 +1,7 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -187,6 +189,46 @@ class CascadingAnalystsSpec extends AnyFunSuite {
       assert(ca.topIds(Segment(0, 1)).best.toSeq == new CascadingAnalysts(cube, 3).topIds(Segment(0, 1)).best.toSeq,
         "an unmasked call after masked ones sees every explanation")
     }
+  }
+
+  test("ids, τs and Best bits equal the reference solver's on random integer cubes, masked and unmasked") {
+    // 1–4 attributes of 2–3 values, some value combinations absent, and
+    // integer measures, so that sums tie; a seed draws the masks.
+    val cubes = for {
+      attrs <- Gen.choose(1, 4)
+      vals <- Gen.choose(2, 3)
+      n <- Gen.choose(2, 5)
+      combos = Seq.fill(attrs)(0 until vals).foldLeft(Seq(Seq.empty[Int]))((acc, col) => acc.flatMap(pfx => col.map(pfx :+ _)))
+      present <- Gen.listOfN(combos.size, Gen.frequency(4 -> true, 1 -> false))
+      measures <- Gen.listOfN(combos.size * n, Gen.choose(-3, 3))
+      seed <- Gen.long
+    } yield {
+      val names = (0 until attrs).map(a => s"A$a")
+      val recs = for ((combo, c) <- combos.zipWithIndex if present(c); t <- 0 until n)
+        yield (names.zip(combo.map(v => s"v$v")).toMap, t, measures(c * n + t).toDouble)
+      (attrs, ExplCube.fromRecords(names, (0 until n).map(_.toString), recs), seed)
+    }
+    def bits(t: TopIds): (Segment, Seq[Int], Seq[Int], Seq[Long]) =
+      (t.seg, t.ids.toSeq, t.taus.toSeq, t.best.toSeq.map(java.lang.Double.doubleToRawLongBits))
+    val prop = Prop.forAllNoShrink(cubes) { case (attrs, cube, seed) =>
+      val rnd = new Random(seed)
+      // The full cube, then masks of random ids closed by markWithAncestors.
+      val masks = Array.fill(cube.epsilon)(true) +: Seq.fill(3) {
+        val mask = new Array[Boolean](cube.epsilon)
+        for (id <- cube.expls.indices if rnd.nextDouble() < 0.3) cube.markWithAncestors(id, mask)
+        mask
+      }
+      val segments = for (i <- 0 until cube.n; j <- i + 1 until cube.n) yield Segment(i, j)
+      Seq(1, 2, 3, 5).forall { m =>
+        Seq(attrs - 1, attrs).forall { order =>
+          val ca = new CascadingAnalysts(cube, m, order)
+          val ref = new CascadingAnalystsReference(cube, m, order)
+          masks.forall(mask => segments.forall(s => bits(ca.topIds(s, mask)) == bits(ref.topIds(s, mask))))
+        }
+      }
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(200).withInitialSeed(Seed(2040L)), prop)
+    assert(result.passed, result.status)
   }
 
   test("a flat segment yields zero scores and an empty or zero-γ selection") {

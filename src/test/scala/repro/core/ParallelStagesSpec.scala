@@ -236,6 +236,31 @@ class ParallelStagesSpec extends AnyFunSuite {
     }
   }
 
+  test("values keeps a prior run's costs for the cells it shares and computes the others with their bits") {
+    val rnd = new Random(47)
+    for (cube <- Seq(flatCube(rnd, n = 40), wideCube(rnd, n = 30))) {
+      val n = cube.n
+      val top = topTable(cube)
+      val band = cellsWithLists((0 until n).toVector, 4, top)._1
+      val pairs = cellsWithLists((0 +: (1 until n - 1).filter(_ => rnd.nextDouble() < 0.6) :+ (n - 1)).toVector, n, top)
+      val shared = (0 until pairs._1.size).map(k => band.indexOf(pairs._1.start(k), pairs._1.end(k)))
+      assert(shared.exists(_ >= 0) && shared.exists(_ < 0), "the pairs share some cells with the band")
+      for (metric <- VarianceMetric.all) {
+        val costs = new SegmentCosts(cube, metric, top)
+        val ids = pairs._2.map(costs.intern)
+        val plain = costs.values(pairs._1, ids)
+        // Marks, not costs, show which cells were copied.
+        val marks = Array.tabulate(band.size)(e => -1.0 - e)
+        val kept = costs.values(pairs._1, ids, band, marks)
+        for (k <- 0 until pairs._1.size)
+          assert(if (shared(k) >= 0) kept(k) == marks(shared(k)) else sameBits(kept(k), plain(k)), s"${metric.name} cell $k")
+        val bandIds = Array.tabulate(band.size)(e => costs.intern(top(Segment(band.start(e), band.end(e)))))
+        assert(costs.values(pairs._1, ids, band, costs.values(band, bandIds)).toSeq.map(java.lang.Double.doubleToRawLongBits) ==
+          plain.toSeq.map(java.lang.Double.doubleToRawLongBits), metric.name)
+      }
+    }
+  }
+
   /** The DP of the version before the one-read cost array: it calls `cost`
     * for each (b, a) of each layer whose prefix d(k − 1)(b) is finite.
     */

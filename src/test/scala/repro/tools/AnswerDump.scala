@@ -22,6 +22,11 @@ import repro.synth.{RealWorldSim, SyntheticGen}
   * metrics (with O1; O2 for synthetic 200, all optimizations for synthetic
   * 800); and synthetic n = 3,200 under filter+O2, all optimizations, and all
   * optimizations with kMax 100,000.
+  *
+  * It then prints one SHA-256 digest of every segment's top list (ids, τs
+  * and Best bits) per cube and solver: covid daily smoothed and total, S&P,
+  * raw and filtered liquor and synthetic n = 800, each under CA with m = 3,
+  * β̄ = 3 and m = 5, β̄ = 2 and under O1, one solver instance per pair.
   */
 object AnswerDump {
 
@@ -68,6 +73,24 @@ object AnswerDump {
     out.println(s"curve ${e.kVarianceCurve.map { case (k, v) => s"$k:${hex(v)}" }.mkString(",")}")
   }
 
+  /** The digest of `solve`'s list for every segment [i, j] of `cube`, in
+    * (i, j) order.
+    */
+  def digest(out: PrintStream, name: String, cube: ExplCube, solve: Segment => TopIds): Unit = {
+    val sha = java.security.MessageDigest.getInstance("SHA-256")
+    val buf = java.nio.ByteBuffer.allocate(8)
+    def put(v: Long): Unit = { buf.clear(); buf.putLong(v); sha.update(buf.array) }
+    var segments = 0
+    for (i <- 0 until cube.n; j <- i + 1 until cube.n) {
+      val t = solve(Segment(i, j))
+      put(t.size)
+      for (r <- 0 until t.size) { put(t.ids(r)); put(t.taus(r)) }
+      t.best.foreach(b => put(java.lang.Double.doubleToRawLongBits(b)))
+      segments += 1
+    }
+    out.println(s"digest $name segments $segments ${sha.digest.map(b => f"$b%02x").mkString}")
+  }
+
   def main(args: Array[String]): Unit = {
     val out = args.headOption.fold(System.out)(path => new PrintStream(path, "UTF-8"))
     val daily = RealWorldSim.covidDaily().cube
@@ -90,6 +113,20 @@ object AnswerDump {
     for ((label, cfg) <- Seq("filter+O2" -> filter.copy(sketch = true), "all-opts" -> allOpts,
         "all-opts kMax100000" -> allOpts.copy(kMax = 100000)))
       dump(out, s"synthetic-3200 / $label", big, cfg)
+    val liquor = RealWorldSim.liquor().cube
+    val solverCubes: Seq[(String, ExplCube)] = Seq(
+      "covid-daily-smoothed5" -> daily.smoothed(5),
+      "covid-total" -> RealWorldSim.covidTotal().cube,
+      "sp500" -> RealWorldSim.sp500().cube,
+      "liquor" -> liquor,
+      "liquor-filtered" -> liquor.filtered(0.001),
+      "synthetic-800" -> SyntheticGen.generate(n = 800, snrDb = 35, seed = 800).cube,
+    )
+    for ((dataset, cube) <- solverCubes) {
+      digest(out, s"$dataset / CA m3 order3", cube, new CascadingAnalysts(cube, 3, 3).topIds)
+      digest(out, s"$dataset / CA m5 order2", cube, new CascadingAnalysts(cube, 5, 2).topIds)
+      digest(out, s"$dataset / O1", cube, new GuessVerify(cube, 3, 3).topIds)
+    }
     out.flush()
     if (out ne System.out) out.close()
   }
