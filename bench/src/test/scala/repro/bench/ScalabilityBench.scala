@@ -6,7 +6,7 @@ import repro.eval.Benches
 /** Figure 17 (table-ized) — latency vs time series length on the synthetic
   * generator. Paper: Vanilla grows super-linearly (terminated past 100 s by
   * n = 6400) while the optimized pipeline stays interactive (982 ms at
-  * n = 3200). We sweep up to n = 6400 (vanilla only up to its cap) and
+  * n = 3200). We sweep up to n = 12800 (vanilla only up to its cap) and
   * assert the shape: optimized ≪ vanilla, and optimized growth is
   * sub-quadratic. Each optimized query's allocation, over all threads, is
   * printed next to its time.
@@ -14,7 +14,7 @@ import repro.eval.Benches
 class ScalabilityBench extends AnyFunSuite {
 
   test("Fig 17: optimized latency scales far better than vanilla in n") {
-    val lengths = sys.env.getOrElse("BENCH_FIG17_LENGTHS", "100,200,400,800,1600,3200,6400").split(",").map(_.trim.toInt).toSeq
+    val lengths = sys.env.getOrElse("BENCH_FIG17_LENGTHS", "100,200,400,800,1600,3200,6400,12800").split(",").map(_.trim.toInt).toSeq
     val vanillaCap = sys.env.getOrElse("BENCH_FIG17_VANILLA_CAP", "400").toInt
     // JIT warm-up
     Benches.scalability(Seq(100), vanillaCap = 100)

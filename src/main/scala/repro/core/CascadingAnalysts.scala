@@ -12,7 +12,7 @@ package repro.core
   * drill-down dimension choice and the quota split are optimized by dynamic
   * programming to maximize Σ γ(E) under |selections| ≤ m.
   *
-  * `solve` walks the cube's int-array drill-down index
+  * `bestOf` walks the cube's int-array drill-down index
   * ([[ExplCube.DrillDown]]) and memoizes the per-context score vector
   * Best_ctx[0..m]; the memo is reused across segments and O1's guesses via
   * version stamps. A leaf child (no child group, or depth ≥ β̄) has Best =
@@ -21,14 +21,15 @@ package repro.core
   * and a leaf folds in as max(row(q), row(q − 1) + γ), in O(m), with no memo
   * entry. Each child group keeps its knapsack rows in one flat table of
   * Σ (kids + 1)·(m + 1) doubles (967 KiB at ε = 9,349 and m = 3), which
-  * `backtrack` reads; a segment allocates only its answer. Instances are NOT
-  * thread-safe — create one per thread/task.
+  * `backtrack` reads. [[solve]] leaves its answer in the instance's arrays
+  * ([[TopSolver]]) and allocates nothing; [[topIds]] copies it out.
+  * Instances are NOT thread-safe — create one per thread/task.
   *
   * @param cube     explanation cube with γ/τ lookups and drill-down adjacency
   * @param m        explanation quota (paper default 3)
   * @param maxOrder order threshold β̄ (paper default 3)
   */
-final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int = 3) {
+final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int = 3) extends TopSolver {
   require(m >= 1, "m must be positive")
 
   private val eps = cube.epsilon
@@ -42,8 +43,13 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   private var seg: Segment = _
   private var active: Array[Boolean] = all
   private val nameRank = cube.nameRank
-  private val selected = new Array[Int](m)
+  // The answer: backtrack's selected ids, then ranked in place, and their τs.
+  val ids = new Array[Int](m)
+  val taus = new Array[Int](m)
   private var nSelected = 0
+  def size: Int = nSelected
+  /** The Best vector of the last solve: the root's memo row. */
+  def best: Array[Double] = memo(0)
 
   // leaf(id + 1): the context drills into nothing, having no child group or
   // a depth (its order; the root's is 0) of at least β̄.
@@ -57,7 +63,7 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   private val kids = new Array[Int](dd.childStart.length - 1)
   private val kid = new Array[Int](dd.childIds.length)
 
-  private def solve(id: Int): Array[Double] = {
+  private def bestOf(id: Int): Array[Double] = {
     val slot = id + 1
     if (stamp(slot) == version) return memo(slot)
     val out = memo(slot)
@@ -80,7 +86,7 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
           val childId = dd.childIds(c)
           if (active(childId)) {
             val next = row + stride
-            val child = if (leaf(childId + 1)) null else solve(childId)
+            val child = if (leaf(childId + 1)) null else bestOf(childId)
             val gamma = cube.gamma(childId, seg)
             var q = 1
             while (q <= m) {
@@ -122,7 +128,7 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
     val target = memo(slot)(q)
     if (target <= 0.0) return
     if (memo(slot)(q - 1) == target) { backtrack(id, q - 1); return }
-    if (id >= 0 && cube.gamma(id, seg) == target) { selected(nSelected) = id; nSelected += 1; return }
+    if (id >= 0 && cube.gamma(id, seg) == target) { ids(nSelected) = id; nSelected += 1; return }
     if (!leaf(slot)) {
       var g = dd.groupStart(slot)
       while (g < dd.groupStart(slot + 1)) {
@@ -147,7 +153,7 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
               if (s > best) { best = s; u = v }
               v += 1
             }
-            if (u > 0 && child == null) { selected(nSelected) = childId; nSelected += 1 }
+            if (u > 0 && child == null) { ids(nSelected) = childId; nSelected += 1 }
             else if (u > 0) backtrack(childId, u)
             w -= u
           }
@@ -168,38 +174,39 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   }
 
   /** Top-m non-overlapping explanations of `segment` as compact ids ranked by
-    * γ descending, with the Best[0..m] score vector (Definition 3.5 / Eq. 12).
+    * γ descending, with the Best[0..m] score vector (Definition 3.5 / Eq. 12),
+    * left in [[ids]], [[taus]] and [[best]].
     */
-  def topIds(segment: Segment): TopIds = topIds(segment, all)
+  def solve(segment: Segment): Unit = solve(segment, all)
 
-  /** [[topIds]] over only the explanations marked in `active` (O1's
+  /** [[solve]] over only the explanations marked in `active` (O1's
     * restricted input): the same answer as CA on the sub-cube of the marked
     * ids. `active` must be closed under sub-conjunctions, as
     * [[ExplCube.markWithAncestors]] leaves it.
     */
-  def topIds(segment: Segment, active: Array[Boolean]): TopIds = {
+  def solve(segment: Segment, active: Array[Boolean]): Unit = {
     require(active.length == eps, "mask must cover every explanation")
     seg = segment
     this.active = active
     version += 1
-    val best = solve(-1).clone()
+    bestOf(-1)
     nSelected = 0
     backtrack(-1, m)
     // A stable insertion sort of the at most m selected ids.
-    val ranked = java.util.Arrays.copyOf(selected, nSelected)
     var r = 1
-    while (r < ranked.length) {
-      val id = ranked(r)
+    while (r < nSelected) {
+      val id = ids(r)
       var p = r
-      while (p > 0 && ranksBefore(id, ranked(p - 1))) { ranked(p) = ranked(p - 1); p -= 1 }
-      ranked(p) = id
+      while (p > 0 && ranksBefore(id, ids(p - 1))) { ids(p) = ids(p - 1); p -= 1 }
+      ids(p) = id
       r += 1
     }
-    val taus = new Array[Int](ranked.length)
     r = 0
-    while (r < ranked.length) { taus(r) = cube.tau(ranked(r), segment); r += 1 }
-    TopIds(segment, ranked, taus, best)
+    while (r < nSelected) { taus(r) = cube.tau(ids(r), segment); r += 1 }
   }
+
+  /** [[solve]] over the ids marked in `active`, copied out. */
+  def topIds(segment: Segment, active: Array[Boolean]): TopIds = { solve(segment, active); answer(segment) }
 }
 
 object CascadingAnalysts {

@@ -16,7 +16,7 @@ package repro.core
   * m̄ doubles (Figure 9); at m̄ ≥ ε the run is the unrestricted CA and
   * trivially optimal. Results therefore always match the vanilla CA's score.
   */
-final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m0: Int = -1) {
+final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m0: Int = -1) extends TopSolver {
   private val initialMBar = if (m0 > 0) m0 else 10 * m
   private val eps = cube.epsilon
 
@@ -93,10 +93,16 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
     }
   }
 
+  // The answer is the one CA's last.
+  def size: Int = ca.size
+  def ids: Array[Int] = ca.ids
+  def taus: Array[Int] = ca.taus
+  def best: Array[Double] = ca.best
+
   /** Top-m via guess-and-verify; equal (in score) to the vanilla CA. Each
     * guess runs the one CA with only the top-m̄ ids by γ and their ancestors active.
     */
-  def topIds(seg: Segment): TopIds = {
+  def solve(seg: Segment): Unit = {
     var id = 0
     while (id < eps) { gammas(id) = cube.gamma(id, seg); id += 1 }
     var mBar = math.min(initialMBar, eps)
@@ -104,33 +110,34 @@ final class GuessVerify(val cube: ExplCube, val m: Int, val maxOrder: Int = 3, m
       caRuns += 1
       if (mBar >= eps) {
         maxMBarUsed = math.max(maxMBarUsed, eps)
-        return ca.topIds(seg)
+        ca.solve(seg)
+        return
       }
       topByGamma(mBar + m) // m̄ actives + the certificate tail
       java.util.Arrays.fill(active, false)
       var r = 0
       while (r < mBar) { cube.markWithAncestors(order(r), active); r += 1 }
-      val res = ca.topIds(seg, active)
+      ca.solve(seg, active)
       // Eq. 12 certificate over the γ-sorted tail beyond rank m̄. Both sides
       // are sums of at most m γ values; the slack, relative to the bound,
       // covers their rounding at any scale of the measure.
+      val best = ca.best
       var ok = true
       var tailSum = 0.0
       var mp = m - 1
       while (mp >= 0 && ok) {
         val tailRank = mBar + (m - 1 - mp)
         tailSum += (if (tailRank < orderSize) gammas(order(tailRank)) else 0.0)
-        val bound = res.best(mp) + tailSum
-        if (res.best(m) + 4 * m * GuessVerify.Roundoff * bound < bound) ok = false
+        val bound = best(mp) + tailSum
+        if (best(m) + 4 * m * GuessVerify.Roundoff * bound < bound) ok = false
         mp -= 1
       }
       if (ok) {
         maxMBarUsed = math.max(maxMBarUsed, mBar)
-        return res
+        return
       }
       mBar = math.min(mBar * 2, eps)
     }
-    throw new IllegalStateException("unreachable")
   }
 }
 

@@ -5,9 +5,11 @@ package repro.core
   *
   * Objects are the unit segments [p_x, p_x+1]; the centroid of a partition
   * [p_i, p_j] is the partition itself. Top-explanation lists are supplied by
-  * `topFn` (full CA, guess-and-verify CA, …) and should be cached by the
-  * caller. [[values]] computes the costs of a DP run's cells, given their
-  * list ids, and [[cost]] one cell at a time; neither memoizes. A list id
+  * `topFn` (full CA, guess-and-verify CA, …), which should cache them, or,
+  * in [[TSExplain.explain]], the unit lists come as one [[TopLists.Batch]]
+  * and every other list through [[intern]]. [[values]] computes the costs
+  * of a DP run's cells, given their list ids, and [[cost]] one cell at a
+  * time; neither memoizes. A list id
   * is a row of one table of distinct lists ([[intern]]), where lists that
   * rank the same ids with the same τs (all the kernel reads of a list
   * besides its segment) share a row. This class also keeps each unit's
@@ -23,11 +25,22 @@ package repro.core
   * the order, of [[Ndcg.ndcgGiven]], so every cost keeps its bits whichever
   * cells share the work.
   */
-final class SegmentCosts(
+final class SegmentCosts private (
     val cube: ExplCube,
     val metric: VarianceMetric,
     topFn: Segment => TopIds,
+    unitLists: TopLists.Batch,
 ) {
+
+  /** Costs that read every list through `topFn`, the unit lists too. */
+  def this(cube: ExplCube, metric: VarianceMetric, topFn: Segment => TopIds) = this(cube, metric, topFn, null)
+
+  /** Costs whose unit lists are the batch `units`, unit x's being
+    * `units.lists(units.of(x))`; [[cost]] reads no other list.
+    */
+  private[core] def this(cube: ExplCube, metric: VarianceMetric, units: TopLists.Batch) =
+    this(cube, metric, s => units.lists(units.of(s.i)), units)
+
   private val ndcg = new Ndcg(cube)
   private val nUnits = cube.n - 1
   private val allPair = metric == VarianceMetric.AllPair || metric == VarianceMetric.SAllPair
@@ -41,19 +54,18 @@ final class SegmentCosts(
   // read in a cost loop allocates unless the JIT elides it.
   private val units: Array[Segment] = Array.tabulate(nUnits)(x => Segment(x, x + 1))
 
-  private val lists = new SegmentCosts.ListIds // the distinct lists met so far
-
-  private def unitTop(x: Int): TopIds = topFn(units(x))
+  private val lists = new TopLists.Table // the distinct lists met so far
 
   // Pairwise object-object distances, needed only by the allpair metrics.
   private lazy val pairDist: Array[Array[Double]] = {
-    val idcg = unitTables.idcg
+    val t = unitTables
+    val idcg = t.idcg
     val d = Array.fill(nUnits)(new Array[Double](nUnits))
     var x = 0
     while (x < nUnits) {
       var y = x + 1
       while (y < nUnits) {
-        val v = 1.0 - (ndcg.ndcgGiven(idcg(x), units(x), unitTop(y)) + ndcg.ndcgGiven(idcg(y), units(y), unitTop(x))) / 2.0
+        val v = 1.0 - (ndcg.ndcgGiven(idcg(x), units(x), t.top(y)) + ndcg.ndcgGiven(idcg(y), units(y), t.top(x))) / 2.0
         d(x)(y) = v; d(y)(x) = v
         y += 1
       }
@@ -80,34 +92,46 @@ final class SegmentCosts(
     }
   }
 
-  /** The unit-level tables, built in one pass over the units. */
+  /** The unit-level tables. */
   private final class UnitTables {
+    // The unit lists as one batch: the source's, or else each unit's read
+    // through topFn and merged as one block whose k-th list is unit k's.
+    // They take the first rows of `lists`.
+    private val batch =
+      if (unitLists != null) unitLists else TopLists.merge(Vector((0, units.map(topFn))), Array.range(0, nUnits))
+    private val row = batch.lists.map(lists.idOf)
+    val unitIds: Int = lists.size
+    // Unit x's list id.
+    val listOf = new Array[Int](if (allPair) 0 else nUnits)
     // Each unit's self-DCG, the IDCG of Eq. 5 with the unit as target.
     val idcg = new Array[Double](nUnits)
-    // Unit x's list id, below unitIds: the units are interned first.
-    val listOf = new Array[Int](if (allPair) 0 else nUnits)
-    for (x <- 0 until nUnits) {
-      val top = unitTop(x)
-      idcg(x) = ndcg.dcgSelf(units(x), top)
-      if (!allPair) listOf(x) = lists.idOf(top)
-    }
-    val unitIds: Int = lists.reps.size
     // The unit change s_e(x + 1) − s_e(x) at e·(n − 1) + x, which the
     // centroid→object term of the Eq. 6 kernel reads.
     val delta = new Array[Double](if (toObject) cube.epsilon * nUnits else 0)
-    if (delta.nonEmpty) for (e <- 0 until cube.epsilon) {
-      val s = cube.series(e)
-      var x = 0
-      while (x < nUnits) { delta(e * nUnits + x) = s(x + 1) - s(x); x += 1 }
+    Blocks.run(nUnits) { (from, until) =>
+      var x = from
+      while (x < until) {
+        val u = batch.of(x)
+        idcg(x) = ndcg.dcgSelf(units(x), batch.lists(u))
+        if (!allPair) listOf(x) = row(u)
+        x += 1
+      }
+      if (delta.nonEmpty) for (e <- 0 until cube.epsilon) {
+        val s = cube.series(e)
+        var y = from
+        while (y < until) { delta(e * nUnits + y) = s(y + 1) - s(y); y += 1 }
+      }
     }
+    // The batch's unit lists, for the all-pair metrics' distances.
+    def top(x: Int): TopIds = batch.lists(batch.of(x))
   }
 
   // Built on first use, once the unit lists can be read; `intern` and
   // `values` build it on the calling thread, before other lists or blocks.
   private lazy val unitTables = new UnitTables
 
-  /** `top`'s row in the table of distinct lists, the unit lists (read
-    * through `topFn`) first; call it from one thread, not during [[values]].
+  /** `top`'s row in the table of distinct lists, the unit lists first;
+    * call it from one thread, not during [[values]].
     */
   def intern(top: TopIds): Int = { if (!allPair) unitTables; lists.idOf(top) }
 
@@ -176,7 +200,7 @@ final class SegmentCosts(
       var a = 0.0
       if (toCentroid) {
         val u = of(x)
-        if (sc.seen(u) != cell) { toC(u) = ndcg.ndcgGiven(cIdcg, cseg, lists.reps(u)); sc.seen(u) = cell }
+        if (sc.seen(u) != cell) { toC(u) = ndcg.ndcgGiven(cIdcg, cseg, lists(u)); sc.seen(u) = cell }
         a = toC(u)
       }
       val d =
@@ -219,7 +243,7 @@ final class SegmentCosts(
       val k = order(r)
       val i = cells.start(k)
       val j = cells.end(k)
-      val ctop = if (allPair) null else lists.reps(ids(k))
+      val ctop = if (allPair) null else lists(ids(k))
       if (toObject) {
         if (ids(k) != run) { run = ids(k); covered = 0 }
         if (j > covered) { toObjectTerms(ctop, math.max(i, covered), j, sc); covered = j }
@@ -243,7 +267,7 @@ final class SegmentCosts(
     def known(k: Int): Int = if (prior == null) -1 else prior.indexOf(cells.start(k), cells.end(k))
     // The cells to compute by list id (the all-pair metrics' are all −1), a
     // stable counting sort; the blocks take slices.
-    val next = new Array[Int](lists.reps.size + 2)
+    val next = new Array[Int](lists.size + 2)
     for (k <- 0 until cells.size) { val e = known(k); if (e >= 0) out(k) = priorCosts(e) else next(ids(k) + 2) += 1 }
     for (g <- 1 until next.length) next(g) += next(g - 1)
     val order = new Array[Int](next.last)
@@ -255,35 +279,6 @@ final class SegmentCosts(
   /** Objective Σ |P_k|·var(P_k) of a full segmentation scheme (Problem 1). */
   def objective(scheme: SegScheme): Double =
     scheme.segments.iterator.map(s => cost(s.i, s.j)).sum
-}
-
-object SegmentCosts {
-
-  private final class Key(var t: TopIds) {
-    override def hashCode: Int = java.util.Arrays.hashCode(t.ids) * 31 + java.util.Arrays.hashCode(t.taus)
-    override def equals(o: Any): Boolean = o match {
-      case k: Key => java.util.Arrays.equals(t.ids, k.t.ids) && java.util.Arrays.equals(t.taus, k.t.taus)
-      case _ => false
-    }
-  }
-
-  /** Ids 0, 1, … for lists in order of first sight, two lists sharing one
-    * when they rank the same ids with the same τs; `reps(u)` is the first
-    * list given id u. A lookup allocates nothing: it probes with one
-    * reusable key.
-    */
-  private final class ListIds {
-    private val index = new java.util.HashMap[Key, Integer]
-    private val probe = new Key(null)
-    val reps = scala.collection.mutable.ArrayBuffer.empty[TopIds]
-
-    def idOf(t: TopIds): Int = {
-      probe.t = t
-      val id = index.get(probe)
-      if (id != null) id
-      else { index.put(new Key(t), reps.size); reps += t; reps.size - 1 }
-    }
-  }
 }
 
 /** The K-Segmentation dynamic program (Section 5.1, Eq. 11), generalized with

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.ForkJoinPool
+import java.util.concurrent.{ConcurrentLinkedQueue, ForkJoinPool}
 import java.util.stream.IntStream
 import scala.collection.immutable.ArraySeq
 import repro.core.KSegmentation.Cells
@@ -45,34 +45,143 @@ final case class Timings(precomputeMs: Double, caMs: Double, ksegMs: Double) {
   def totalMs: Double = precomputeMs + caMs + ksegMs
 }
 
+/** A per-segment top-m solver, CA or O1, that leaves each answer in its own
+  * arrays: after [[solve]], the first [[size]] entries of [[ids]] are the
+  * ranked ids, those of [[taus]] their τs, and [[best]] is the Best vector,
+  * until the next solve. Instances are not thread-safe.
+  */
+trait TopSolver {
+  def solve(segment: Segment): Unit
+  def size: Int
+  def ids: Array[Int]
+  def taus: Array[Int]
+  def best: Array[Double]
+
+  /** The answer of [[solve]] on `segment`, copied out. */
+  def topIds(segment: Segment): TopIds = { solve(segment); answer(segment) }
+
+  /** The last answer, copied out as `segment`'s list. */
+  def answer(segment: Segment): TopIds =
+    TopIds(segment, java.util.Arrays.copyOf(ids, size), java.util.Arrays.copyOf(taus, size), best.clone())
+}
+
 /** Where the pipeline gets its top-m lists: the one pluggable point of
   * [[TSExplain.explain]]. A source solves one batch of segments of the
-  * precomputed cube and returns their lists in segment order.
+  * precomputed cube and returns their distinct lists and each segment's
+  * index into them ([[TopLists.Batch]]).
   */
 trait TopLists {
-  def apply(cube: ExplCube, cfg: TSConfig, segments: Seq[Segment]): Array[TopIds]
+  def apply(cube: ExplCube, cfg: TSConfig, segments: Seq[Segment]): TopLists.Batch
 }
 
 object TopLists {
 
+  /** A batch's top lists: `lists` are distinct by (ids, τs), in order of
+    * first sight, and segment k's list is `lists(of(k))`. A list is the one
+    * solved for the first segment that has it, whose segment and Best it
+    * keeps.
+    */
+  final class Batch(val lists: Array[TopIds], val of: Array[Int])
+
   /** Per-segment solver: O1 guess-and-verify when `cfg.guessVerify`, else CA. */
-  def solver(cube: ExplCube, cfg: TSConfig): Segment => TopIds =
-    if (cfg.guessVerify) new GuessVerify(cube, cfg.m, cfg.maxOrder).topIds _
-    else new CascadingAnalysts(cube, cfg.m, cfg.maxOrder).topIds _
+  def solver(cube: ExplCube, cfg: TSConfig): TopSolver =
+    if (cfg.guessVerify) new GuessVerify(cube, cfg.m, cfg.maxOrder) else new CascadingAnalysts(cube, cfg.m, cfg.maxOrder)
+
+  /** Solves `segments(k)` for k in [from, until) with `solve` and writes to
+    * `of(k)` its list's index among the lists returned: the range's distinct
+    * lists, in order of first sight. Only a list the range has not met
+    * before is copied out of the solver.
+    */
+  private[repro] def solveRange(solve: TopSolver, segments: IndexedSeq[Segment], from: Int, until: Int,
+      of: Array[Int]): Array[TopIds] = {
+    val table = new Table
+    var k = from
+    while (k < until) {
+      val seg = segments(k)
+      solve.solve(seg)
+      val u = table.find(solve.ids, solve.taus, solve.size)
+      of(k) = if (u >= 0) u else table.add(solve.answer(seg))
+      k += 1
+    }
+    table.lists
+  }
+
+  /** One batch from its blocks: `parts(b)` is block b's first segment and
+    * its lists, blocks in segment order, and `of(k)` is segment k's index
+    * into its block's lists on entry, into the batch's on return. So the
+    * batch's lists are in the order one pass over the segments meets them.
+    */
+  private[repro] def merge(parts: IndexedSeq[(Int, Array[TopIds])], of: Array[Int]): Batch = {
+    val table = new Table
+    for (b <- parts.indices) {
+      val (from, lists) = parts(b)
+      val until = if (b + 1 < parts.size) parts(b + 1)._1 else of.length
+      val row = new Array[Int](lists.length)
+      for (u <- lists.indices) row(u) = table.idOf(lists(u))
+      var k = from
+      while (k < until) { of(k) = row(of(k)); k += 1 }
+    }
+    new Batch(table.lists, of)
+  }
 
   /** The driver's source: the batch is split into blocks solved on the
-    * JVM's common ForkJoinPool ([[Blocks]]), one [[solver]] per block since
-    * CA and O1 instances are not thread-safe.
+    * JVM's common ForkJoinPool ([[Blocks]]), each interning its own lists;
+    * the blocks borrow solvers from a queue, so a batch builds at most one
+    * per thread that runs its blocks (CA and O1 instances are not
+    * thread-safe).
     */
   val Driver: TopLists = (cube, cfg, segments) => {
     val segs = segments.toIndexedSeq
-    val out = new Array[TopIds](segs.size)
-    Blocks.run(segs.size) { (from, until) =>
-      val solve = solver(cube, cfg)
-      var k = from
-      while (k < until) { out(k) = solve(segs(k)); k += 1 }
+    val of = new Array[Int](segs.size)
+    val idle = new ConcurrentLinkedQueue[TopSolver]
+    merge(Blocks.run(segs.size) { (from, until) =>
+      val idler = idle.poll()
+      val solve = if (idler != null) idler else solver(cube, cfg)
+      try (from, solveRange(solve, segs, from, until, of)) finally idle.offer(solve)
+    }, of)
+  }
+
+  /** Ids 0, 1, … for top lists in order of first sight, two lists sharing
+    * one when they rank the same ids with the same τs; `apply(u)` is the
+    * first list given id u. A lookup allocates nothing: it probes with one
+    * reusable key.
+    */
+  private[core] final class Table {
+    private val index = new java.util.HashMap[Key, Integer]
+    private val probe = new Key(null, null, 0)
+    private val reps = scala.collection.mutable.ArrayBuffer.empty[TopIds]
+
+    def size: Int = reps.size
+    def apply(u: Int): TopIds = reps(u)
+    def lists: Array[TopIds] = reps.toArray
+
+    /** The id of the list that ranks ids(0 until size) with taus(0 until
+      * size), or −1.
+      */
+    def find(ids: Array[Int], taus: Array[Int], size: Int): Int = {
+      probe.ids = ids; probe.taus = taus; probe.size = size
+      val u = index.get(probe)
+      if (u == null) -1 else u
     }
-    out
+
+    /** Gives `t`, which [[find]] does not find, the next id. */
+    def add(t: TopIds): Int = { index.put(new Key(t.ids, t.taus, t.size), reps.size); reps += t; reps.size - 1 }
+
+    def idOf(t: TopIds): Int = { val u = find(t.ids, t.taus, t.size); if (u >= 0) u else add(t) }
+  }
+
+  private final class Key(var ids: Array[Int], var taus: Array[Int], var size: Int) {
+    override def hashCode: Int = {
+      var h = size
+      var r = 0
+      while (r < size) { h = 31 * (31 * h + ids(r)) + taus(r); r += 1 }
+      h
+    }
+    override def equals(o: Any): Boolean = o match {
+      case k: Key => size == k.size && java.util.Arrays.equals(ids, 0, size, k.ids, 0, size) &&
+        java.util.Arrays.equals(taus, 0, size, k.taus, 0, size)
+      case _ => false
+    }
   }
 }
 
@@ -86,18 +195,21 @@ private[core] object Blocks {
   val MinSize = 64
 
   /** Calls `body(from, until)` on consecutive blocks that together cover
-    * [0, size). Several blocks run on the common pool and the calling thread
-    * helps; a range too small for two blocks runs on the calling thread
-    * alone. An exception thrown in a block reaches the caller with its type
-    * kept.
+    * [0, size) and returns what each block's call returned, in block order.
+    * Several blocks run on the common pool and the calling thread helps; a
+    * range too small for two blocks runs on the calling thread alone. An
+    * exception thrown in a block reaches the caller with its type kept.
     */
-  def run(size: Int)(body: (Int, Int) => Unit): Unit = {
+  def run[A](size: Int)(body: (Int, Int) => A): IndexedSeq[A] = {
     val blocks = math.min(size / MinSize, 4 * (ForkJoinPool.getCommonPoolParallelism + 1))
-    if (blocks >= 2)
+    if (blocks >= 2) {
+      val out = new Array[Any](blocks)
       IntStream.range(0, blocks).parallel().forEach { b =>
-        body((b.toLong * size / blocks).toInt, ((b + 1).toLong * size / blocks).toInt)
+        out(b) = body((b.toLong * size / blocks).toInt, ((b + 1).toLong * size / blocks).toInt)
       }
-    else if (size > 0) body(0, size)
+      ArraySeq.unsafeWrapArray(out).asInstanceOf[IndexedSeq[A]]
+    } else if (size > 0) Vector(body(0, size))
+    else Vector.empty
   }
 }
 
@@ -130,19 +242,18 @@ object TSExplain {
     val allPair = cfg.metric == VarianceMetric.AllPair || cfg.metric == VarianceMetric.SAllPair
     var topNanos = 0L
     def timed[A](body: => A): A = { val s = System.nanoTime(); try body finally topNanos += System.nanoTime() - s }
-    def solve(segments: Array[Segment]): Array[TopIds] =
-      if (segments.isEmpty) Array.empty else timed(tops(cube, cfg, ArraySeq.unsafeWrapArray(segments)))
+    def solve(segments: IndexedSeq[Segment]): TopLists.Batch =
+      if (segments.isEmpty) new TopLists.Batch(Array.empty, Array.empty) else timed(tops(cube, cfg, segments))
 
     val t1 = System.nanoTime()
     val all = (0 until n).toVector
     // The first DP run: with O2, sketch phase I over the band.
     val first = if (cfg.sketch) new Cells(all, Sketch.sketchSize(n), Sketch.maxSegLen(n)) else new Cells(all, cfg.kMax, n)
-    val unitLists = solve(Array.tabulate(n - 1)(x => Segment(x, x + 1)))
-    // The costs read the unit lists through topFn and intern them first.
-    val costs = new SegmentCosts(cube, cfg.metric, s => unitLists(s.i))
+    val costs = new SegmentCosts(cube, cfg.metric, solve(ArraySeq.unsafeWrapArray(Array.tabulate(n - 1)(x => Segment(x, x + 1)))))
 
     // The list ids of `cells`: a unit's, or the first run's (`firstIds`,
-    // once it has them), or else that of a list solved in one batch.
+    // once it has them), or else that of a list solved in one batch, whose
+    // distinct lists alone are interned.
     def fill(cells: Cells, firstIds: Array[Int]): Array[Int] = {
       val ids = new Array[Int](cells.size)
       val todo = new Array[Int](cells.size)
@@ -154,8 +265,13 @@ object TSExplain {
         ids(k) = if (allPair) -1 else if (cells.end(k) - i == 1) costs.unitId(i) else if (e >= 0) firstIds(e) else { todo(size) = k; size += 1; -1 }
         k += 1
       }
-      val got = solve(Array.tabulate(size)(t => Segment(cells.start(todo(t)), cells.end(todo(t)))))
-      for (t <- 0 until size) ids(todo(t)) = costs.intern(got(t))
+      val todoSize = size
+      val got = solve(new IndexedSeq[Segment] {
+        def length: Int = todoSize
+        def apply(t: Int): Segment = Segment(cells.start(todo(t)), cells.end(todo(t)))
+      })
+      val row = got.lists.map(costs.intern)
+      for (t <- 0 until size) ids(todo(t)) = row(got.of(t))
       ids
     }
 
@@ -169,7 +285,10 @@ object TSExplain {
     val scheme = dpRes.schemes(k - 1).get
     // An id stands for every segment with its ranking, but γ and Best are
     // the solved segment's: the ≤ kMax chosen ones are solved again here.
-    val perSegment = timed(scheme.segments.map(TopLists.solver(cube, cfg)).map(t => t.seg -> CascadingAnalysts.pretty(cube, t)))
+    val perSegment = timed {
+      val readBack = TopLists.solver(cube, cfg)
+      scheme.segments.map(s => s -> CascadingAnalysts.pretty(cube, readBack.topIds(s)))
+    }
     val stageNanos = System.nanoTime() - t1
     val caMs = topNanos / 1e6
     val ksegMs = math.max(0.0, stageNanos / 1e6 - caMs)

@@ -1,6 +1,8 @@
 package repro.core
 
 import java.util.concurrent.{CountDownLatch, ForkJoinWorkerThread, TimeUnit}
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.NdcgDefinitions._
 import scala.util.Random
@@ -355,14 +357,61 @@ class ParallelStagesSpec extends AnyFunSuite {
     assert(segments.size > 4 * Blocks.MinSize, "the full batch spans several blocks")
     for (cfg <- Seq(TSConfig(), TSConfig(guessVerify = true))) {
       for (batch <- Seq(Vector.empty, segments.take(Blocks.MinSize / 2), segments)) {
-        val expected = batch.map(TopLists.solver(cube, cfg))
+        val expected = batch.map(TopLists.solver(cube, cfg).topIds)
         val got = TopLists.Driver(cube, cfg, batch)
-        assert(got.length == expected.size)
-        for ((g, e) <- got.zip(expected)) {
-          assert(g.seg == e.seg && g.ids.sameElements(e.ids) && g.taus.sameElements(e.taus) &&
-            g.best.sameElements(e.best), s"guessVerify=${cfg.guessVerify} batch of ${batch.size}")
+        assert(got.of.length == expected.size)
+        // Each segment's list ranks its ids with its τs; a list is the one
+        // solved for its first segment, Best included.
+        for (((g, e), k) <- got.of.map(got.lists).zip(expected).zipWithIndex) {
+          assert(g.ids.sameElements(e.ids) && g.taus.sameElements(e.taus), s"guessVerify=${cfg.guessVerify} batch of ${batch.size}")
+          if (got.of.indexOf(got.of(k)) == k)
+            assert(g.seg == e.seg && g.best.sameElements(e.best), s"guessVerify=${cfg.guessVerify} batch of ${batch.size}")
         }
       }
+    }
+  }
+
+  test("a driver batch equals the per-segment solver: its lists distinct, in the order sequential interning gives") {
+    // Batches of segments drawn with repeats, below 2·MinSize (one block, on
+    // the calling thread) and above it (several blocks).
+    val cases = for {
+      rel <- InvariantsSpec.relations
+      seed <- Gen.long
+    } yield (rel.cube, seed)
+    val prop = Prop.forAllNoShrink(cases) { case (cube, seed) =>
+      val rnd = new Random(seed)
+      val segments = allSegments(cube.n)
+      Seq(Blocks.MinSize, 5 * Blocks.MinSize + 3).forall { size =>
+        val batch = Vector.fill(size)(segments(rnd.nextInt(segments.size)))
+        Seq(TSConfig(), TSConfig(guessVerify = true)).forall { cfg =>
+          val got = TopLists.Driver(cube, cfg, batch)
+          val want = batch.map(TopLists.solver(cube, cfg).topIds)
+          def key(t: TopIds) = (t.ids.toSeq, t.taus.toSeq)
+          got.of.length == size && got.lists.map(key).toSeq == want.map(key).distinct &&
+            got.of.indices.forall(k => key(got.lists(got.of(k))) == key(want(k)))
+        }
+      }
+    }
+    val result = Test.check(Test.Parameters.default.withMinSuccessfulTests(100).withInitialSeed(Seed(2041L)), prop)
+    assert(result.passed, result.status)
+  }
+
+  test("a calling-thread batch with one distinct list allocates its index array and a fixed number of bytes") {
+    // On the rising half of trendCube every segment ranks v2, v1, v0, all
+    // rising.
+    val cube = trendCube(40)
+    val rising = allSegments(21)
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    val thread = Thread.currentThread.getId
+    for (size <- Seq(20, 2 * Blocks.MinSize - 1); cfg <- Seq(TSConfig(), TSConfig(guessVerify = true))) {
+      val batch = Vector.tabulate(size)(k => rising(k % rising.size))
+      var sink = 0L
+      for (_ <- 1 to 300) sink += TopLists.Driver(cube, cfg, batch).lists.length // warm-up
+      val before = mx.getThreadAllocatedBytes(thread)
+      val got = TopLists.Driver(cube, cfg, batch)
+      val bytes = mx.getThreadAllocatedBytes(thread) - before
+      assert(sink == 300 && got.lists.length == 1)
+      assert(bytes <= 16 + 4 * size + 4096, s"a batch of $size under $cfg allocated $bytes bytes")
     }
   }
 

@@ -176,7 +176,7 @@ class TSExplainSpec extends AnyFunSuite {
   /** A driver source that records every segment it is asked to solve. */
   final class CountingTopLists extends TopLists {
     val solved = scala.collection.mutable.ArrayBuffer.empty[Segment]
-    def apply(cube: ExplCube, cfg: TSConfig, segments: Seq[Segment]): Array[TopIds] = {
+    def apply(cube: ExplCube, cfg: TSConfig, segments: Seq[Segment]): TopLists.Batch = {
       solved ++= segments
       TopLists.Driver(cube, cfg, segments)
     }

@@ -58,6 +58,19 @@ class SparkTSExplainSpec extends SparkSpec {
     sameAsDriver(ds.cube, TSConfig(fixedK = Some(ds.k), sketch = true))
   }
 
+  test("the Spark source's batch equals the per-segment solver and the driver's batch") {
+    for ((cube, cfg) <- Seq((ds.cube, TSConfig()), (liquor.filtered(0.001), TSConfig(guessVerify = true)))) {
+      val segments = for (i <- 0 until cube.n; j <- i + 1 until cube.n) yield Segment(i, j)
+      val got = SparkTSExplain.topLists(spark)(cube, cfg, segments)
+      val driver = TopLists.Driver(cube, cfg, segments)
+      val want = segments.map(TopLists.solver(cube, cfg).topIds)
+      def key(t: TopIds) = (t.ids.toSeq, t.taus.toSeq)
+      assert(got.lists.map(key).toSeq == want.map(key).distinct, s"$cfg: lists")
+      assert(got.of.indices.forall(k => key(got.lists(got.of(k))) == key(want(k))), s"$cfg: indices")
+      assert(got.of.sameElements(driver.of) && got.lists.map(key).sameElements(driver.lists.map(key)), s"$cfg: driver")
+    }
+  }
+
   test("explainGrouped runs the full DP per grouped series and matches driver results") {
     import spark.implicits._
     val dss = (1 to 4).map(i => i.toString -> SyntheticGen.generate(n = 30, snrDb = 40, seed = 100 + i))
