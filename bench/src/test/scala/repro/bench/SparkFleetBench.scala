@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.{SparkSpec, SynthData}
 import repro.core._
-import repro.cube.{ExplanationCube, SparkTSExplain}
+import repro.cube.{ExplanationCube, SparkPerSegment, SparkTSExplain}
 import repro.eval.Metrics
 import repro.synth.{RealWorldSim, SyntheticGen}
 
@@ -10,9 +10,9 @@ import repro.synth.{RealWorldSim, SyntheticGen}
   * independent series explained in parallel on executors) and the full
   * Spark-relation path at inflated row counts: each covid record is split
   * into 50 rows, so the cube aggregate scans 1,000,500 rows while the
-  * aggregated series stays identical. The aggregate combines each map
-  * task's rows before its shuffle, which carries only the partial groups
-  * (about 0.5 MB), so the scan is the work this row count scales.
+  * aggregated series stays identical. Each task sums its partition into
+  * one small table per grouping set and the driver merges the tasks'
+  * tables, so the scan is the work this row count scales.
   */
 class SparkFleetBench extends SparkSpec {
 
@@ -69,7 +69,7 @@ class SparkFleetBench extends SparkSpec {
     val n = cube.n
     val segments = (for { i <- 0 until n by 4; j <- i + 1 until n by 4 } yield Segment(i, j)).toVector
     val t0 = System.nanoTime()
-    val dist = SparkTSExplain.topIdsPerSegment(spark, cube, segments, TSConfig(guessVerify = true))
+    val dist = SparkPerSegment.topIds(spark, cube, segments, TSConfig(guessVerify = true))
     val wallMs = (System.nanoTime() - t0) / 1e6
     println(f"=== distributed CA: ${segments.size} segments of liquor (ε=${cube.epsilon}) in $wallMs%.0f ms ===")
     val ca = new CascadingAnalysts(cube, 3)

@@ -1,7 +1,6 @@
 package repro.cube
 
 import org.apache.spark.sql.{Dataset, SparkSession}
-import scala.reflect.ClassTag
 import repro.core._
 
 /** Spark orchestration of the TSExplain pipeline.
@@ -19,48 +18,27 @@ import repro.core._
   */
 object SparkTSExplain {
 
-  /** `solve(cube, slice)` on executors for consecutive slices of
-    * `segments`, returning each slice's result in slice order. The cube and
-    * the segments' endpoints are broadcast once; each task rebuilds one
-    * slice, and the broadcast is destroyed once the results are collected.
+  /** The [[TopLists]] source on executors: the cube and the segments'
+    * endpoints are broadcast once, each task rebuilds one slice of the
+    * segments and interns its lists ([[TopLists.solveRange]]), and returns
+    * them with its segments' indices, so a list travels once per task. The
+    * driver merges the tasks in slice order and destroys the broadcast.
     */
-  private def onSlices[A: ClassTag](spark: SparkSession, cube: ExplCube, segments: Seq[Segment])(
-      solve: (ExplCube, IndexedSeq[Segment]) => A): Array[A] = {
+  def topLists(spark: SparkSession): TopLists = (cube, cfg, segments) => {
     val sc = spark.sparkContext
     val bc = sc.broadcast((cube, segments.map(_.i).toArray, segments.map(_.j).toArray))
     val slices = math.max(1, math.min(64, segments.size / 64))
-    try
-      sc.parallelize(0 until slices, slices).map { b =>
-        val (c, is, js) = bc.value
-        val from = (b.toLong * is.length / slices).toInt
-        val until = ((b + 1).toLong * is.length / slices).toInt
-        solve(c, (from until until).map(k => Segment(is(k), js(k))))
-      }.collect()
-    finally bc.destroy()
-  }
-
-  /** Distributed module (b): top-m lists of `segments`, in segment order. */
-  def topIdsPerSegment(
-      spark: SparkSession,
-      cube: ExplCube,
-      segments: Seq[Segment],
-      cfg: TSConfig,
-  ): Array[TopIds] =
-    onSlices(spark, cube, segments) { (c, slice) =>
-      val solve = TopLists.solver(c, cfg)
-      slice.map(solve.topIds).toArray
-    }.flatten
-
-  /** The [[TopLists]] source on executors: each task interns its slice's
-    * lists ([[TopLists.solveRange]]) and returns them with its segments'
-    * indices, so a list travels once per task; the driver merges the tasks
-    * in slice order.
-    */
-  def topLists(spark: SparkSession): TopLists = (cube, cfg, segments) => {
-    val parts = onSlices(spark, cube, segments) { (c, slice) =>
-      val of = new Array[Int](slice.size)
-      (TopLists.solveRange(TopLists.solver(c, cfg), slice, 0, slice.size, of), of)
-    }
+    val parts =
+      try
+        sc.parallelize(0 until slices, slices).map { b =>
+          val (c, is, js) = bc.value
+          val from = (b.toLong * is.length / slices).toInt
+          val until = ((b + 1).toLong * is.length / slices).toInt
+          val slice = (from until until).map(k => Segment(is(k), js(k)))
+          val of = new Array[Int](slice.size)
+          (TopLists.solveRange(TopLists.solver(c, cfg), slice, 0, slice.size, of), of)
+        }.collect()
+      finally bc.destroy()
     val of = new Array[Int](segments.size)
     var from = 0
     val starts = parts.toIndexedSeq.map { case (lists, local) =>

@@ -2,7 +2,7 @@ package repro.cube
 
 import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerTaskEnd}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
@@ -10,7 +10,7 @@ import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.QueryExecutionListener
-import org.scalacheck.{Prop, Test}
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalacheck.Prop.propBoolean
 import org.scalacheck.rng.Seed
 import repro.{Oracle, SparkSpec, SynthData}
@@ -22,10 +22,10 @@ class ExplanationCubeSpec extends SparkSpec {
   lazy val synthDs = SyntheticGen.generate(n = 25, snrDb = 40, seed = 77)
   lazy val synthDf: DataFrame = SynthData.synthetic(spark, synthDs).cache()
 
-  // --------------------------------------------------- cubeDF vs the oracle
+  // ------------------------------------------ build's cube vs the oracle
 
   test("cubeDF total series matches DuckDB GROUP BY t") {
-    val cube = ExplanationCube.cubeDF(synthDf, "t", Seq("category"), "m")
+    val cube = CubeFrames.cubeDF(synthDf, "t", Seq("category"), "m")
     val totals = cube.where(col("gid") =!= 0).select(col("t"), col("agg_value").as("s"))
     Oracle.assertEquivalent(
       totals,
@@ -34,7 +34,7 @@ class ExplanationCubeSpec extends SparkSpec {
   }
 
   test("cubeDF per-category series matches DuckDB GROUP BY t, category") {
-    val cube = ExplanationCube.cubeDF(synthDf, "t", Seq("category"), "m")
+    val cube = CubeFrames.cubeDF(synthDf, "t", Seq("category"), "m")
     val slices = cube.where(col("gid") === 0).select(col("t"), col("category"), col("agg_value").as("s"))
     Oracle.assertEquivalent(
       slices,
@@ -46,7 +46,7 @@ class ExplanationCubeSpec extends SparkSpec {
     val sim = RealWorldSim.liquor(pairsPerCell = 3)
     val df = SynthData.explainRelation(spark, Seq("BV", "P", "CN", "VN"),
       sim.records().filter(_._2 < 20)).cache()
-    val cube = ExplanationCube.cubeDF(df, "t", Seq("BV", "P"), "m", maxOrder = 2)
+    val cube = CubeFrames.cubeDF(df, "t", Seq("BV", "P"), "m", maxOrder = 2)
     // gid layout for (t, BV, P): BV bit = 2, P bit = 1; gid==0 → both concrete
     val cells = cube.where(col("gid") === 0).select(col("t"), col("BV"), col("P"), col("agg_value").as("s"))
     Oracle.assertEquivalent(
@@ -61,7 +61,7 @@ class ExplanationCubeSpec extends SparkSpec {
   }
 
   test("cubeDF drops rows that aggregate away the time dimension") {
-    val cube = ExplanationCube.cubeDF(synthDf, "t", Seq("category"), "m")
+    val cube = CubeFrames.cubeDF(synthDf, "t", Seq("category"), "m")
     assert(cube.where(col("t").isNull).count() == 0)
   }
 
@@ -69,7 +69,7 @@ class ExplanationCubeSpec extends SparkSpec {
     val sim = RealWorldSim.liquor(pairsPerCell = 2)
     val df = SynthData.explainRelation(spark, Seq("BV", "P", "CN", "VN"),
       sim.records().filter(_._2 < 10))
-    val c1 = ExplanationCube.cubeDF(df, "t", Seq("BV", "P", "CN", "VN"), "m", maxOrder = 1)
+    val c1 = CubeFrames.cubeDF(df, "t", Seq("BV", "P", "CN", "VN"), "m", maxOrder = 1)
     // with maxOrder=1 every kept row has ≤ 1 concrete attribute
     val bad = c1.where(
       (when(col("BV").isNotNull, 1).otherwise(0) +
@@ -172,14 +172,17 @@ class ExplanationCubeSpec extends SparkSpec {
     assert(scanned.get == rows)
   }
 
-  test("build's aggregate runs at most one map task per core") {
+  test("build runs one job of at most one task per core and no shuffle") {
     val df = SynthData.explainRelation(spark, Seq("a", "b", "c"), recordsWithNullB).repartition(16).cache()
     assert(df.count() == recordsWithNullB.size)
     ListenerBusDrain(spark.sparkContext)
-    val mapTasks = new AtomicLong
+    val jobs = new AtomicLong
+    val resultTasks = new AtomicLong
+    val otherTasks = new AtomicLong
     val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
       override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
-        if (e.taskType == "ShuffleMapTask") mapTasks.incrementAndGet()
+        (if (e.taskType == "ResultTask") resultTasks else otherTasks).incrementAndGet()
     }
     spark.sparkContext.addSparkListener(listener)
     try {
@@ -187,7 +190,10 @@ class ExplanationCubeSpec extends SparkSpec {
       ListenerBusDrain(spark.sparkContext)
     } finally spark.sparkContext.removeSparkListener(listener)
     df.unpersist()
-    assert(mapTasks.get > 0 && mapTasks.get <= spark.sparkContext.defaultParallelism, s"${mapTasks.get} map tasks")
+    assert(jobs.get == 1, s"${jobs.get} jobs")
+    assert(otherTasks.get == 0, s"${otherTasks.get} shuffle map tasks")
+    assert(resultTasks.get > 0 && resultTasks.get <= spark.sparkContext.defaultParallelism,
+      s"${resultTasks.get} result tasks")
   }
 
   test("build's time axis is Spark's ordering of T for int, string and date columns") {
@@ -265,6 +271,96 @@ class ExplanationCubeSpec extends SparkSpec {
       }
     }
     val params = Test.Parameters.default.withMinSuccessfulTests(20).withInitialSeed(Seed(2036L))
+    val result = Test.check(params, prop)
+    assert(result.passed, result.status)
+  }
+
+  // ------------------------------------ one stage vs the Catalyst aggregate
+
+  /** A random relation (t, a0, a1, a2, m) of 1 to 120 rows: a0 and a2 are
+    * string attributes and a1 an int one, each null in about one row of
+    * six; m is positive or null, and null in every row of the a0 = "void"
+    * slice; t is an int (past 9, so string order differs), a string or a
+    * date, chosen by `timeKind`.
+    */
+  private def randomRelation(seed: Long, timeKind: Int): DataFrame = {
+    val rnd = new scala.util.Random(seed)
+    def orNull(v: => Any): Any = if (rnd.nextInt(6) == 0) null else v
+    val rows = Seq.fill(1 + rnd.nextInt(120)) {
+      val day = rnd.nextInt(16) - 3
+      val t = timeKind match {
+        case 0 => day
+        case 1 => s"w$day"
+        case _ => java.sql.Date.valueOf(java.time.LocalDate.of(2020, 2, 27).plusDays(day))
+      }
+      val a0 = orNull(Seq("x", "y", "void")(rnd.nextInt(3)))
+      val a1 = orNull(rnd.nextInt(4) - 1)
+      val a2 = orNull(Seq("p", "\uFFFD", "\uD83D\uDE00")(rnd.nextInt(3)))
+      val m = if (a0 == "void" || rnd.nextInt(6) == 0) null else 100 * rnd.nextDouble()
+      Row(t, a0, a1, a2, m)
+    }
+    val schema = StructType(Seq(
+      StructField("t", Seq(IntegerType, StringType, DateType)(timeKind)), StructField("a0", StringType),
+      StructField("a1", IntegerType), StructField("a2", StringType), StructField("m", DoubleType)))
+    spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+  }
+
+  test("build groups -0.0 with 0.0, every NaN together, and strings by their collation") {
+    val otherNaN = java.lang.Double.longBitsToDouble(0x7ff8000000000001L)
+    val rows = Seq(Row(0, 0.0, "a", 1.0), Row(0, -0.0, "a", 2.0), Row(1, Double.NaN, "b", 3.0),
+      Row(1, otherNaN, "B", 4.0), Row(1, -0.0, "A", 5.0), Row(2, 1.5, "\u00e9", 6.0))
+    val schema = StructType(Seq(StructField("t", IntegerType), StructField("d", DoubleType),
+      StructField("s", StringType), StructField("m", DoubleType)))
+    val df = spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+      .select(col("t"), col("d"), collate(col("s"), "UTF8_LCASE").as("s"), col("m"))
+    val byD = ExplanationCube.build(df, "t", Seq("d"), "m")
+    val ref = CubeFrames.catalystCube(df, "t", Seq("d"), "m")
+    assert(byD.expls == Seq("0.0", "1.5", "NaN").map(v => Expl.of("d" -> v)) && byD.expls == ref.expls)
+    assert(byD.series.indices.forall(id => byD.series(id).sameElements(ref.series(id))))
+    // One explanation per value up to case, labelled by its first row in slice order.
+    val byS = ExplanationCube.build(df, "t", Seq("s"), "m")
+    assert(byS.expls == Seq("a", "b", "\u00e9").map(v => Expl.of("s" -> v)))
+    assert(byS.series(0).toSeq == Seq(3.0, 5.0, 0.0) && byS.series(1).toSeq == Seq(0.0, 7.0, 0.0))
+  }
+
+  test("build groups decimal attributes and timestamp times as the Catalyst cube does") {
+    val rows = Seq(Row("2021-03-01 10:00:00", "1.50", 1.0), Row("2021-03-01 09:00:00", "1.5", 2.0),
+      Row("2021-03-01 10:00:00", "-0.25", 3.0), Row("2021-03-02 00:00:00", "1.50", 4.0))
+    val schema = StructType(Seq(StructField("t", StringType), StructField("p", StringType), StructField("m", DoubleType)))
+    val df = spark.createDataFrame(java.util.Arrays.asList(rows: _*), schema)
+      .select(to_timestamp(col("t")).as("t"), col("p").cast(DecimalType(6, 2)).as("p"), col("m"))
+    val cube = ExplanationCube.build(df, "t", Seq("p"), "m")
+    val ref = CubeFrames.catalystCube(df, "t", Seq("p"), "m")
+    assert(cube.times == ref.times && cube.times.size == 3)
+    assert(cube.expls == ref.expls && cube.epsilon == 2)
+    assert(cube.series.indices.forall(id => cube.series(id).sameElements(ref.series(id))))
+  }
+
+  test("build equals the Catalyst GROUPING SETS cube and repeats bit for bit") {
+    val attrs = Seq("a0", "a1", "a2")
+    def close(a: Array[Double], b: Array[Double]): Boolean = a.length == b.length &&
+      a.indices.forall(i => math.abs(a(i) - b(i)) <= 1e-12 * math.max(math.abs(a(i)), math.abs(b(i))))
+    def same(a: ExplCube, b: ExplCube): Boolean = a.times == b.times && a.expls == b.expls &&
+      java.util.Arrays.equals(a.total, b.total) && a.series.indices.forall(id => java.util.Arrays.equals(a.series(id), b.series(id)))
+    val cases = for {
+      seed <- Gen.long
+      timeKind <- Gen.choose(0, 2)
+      maxOrder <- Gen.choose(0, 3)
+    } yield (seed, timeKind, maxOrder)
+    val prop = Prop.forAllNoShrink(cases) { case (seed, timeKind, maxOrder) =>
+      val df = randomRelation(seed, timeKind)
+      Seq(1, 3, 17).forall { p =>
+        val part = df.repartition(p).cache()
+        try {
+          val ref = CubeFrames.catalystCube(part, "t", attrs, "m", maxOrder)
+          val cube = ExplanationCube.build(part, "t", attrs, "m", maxOrder)
+          cube.times == ref.times && cube.expls == ref.expls && close(cube.total, ref.total) &&
+            ref.expls.indices.forall(id => close(cube.series(id), ref.series(id))) &&
+            same(cube, ExplanationCube.build(part, "t", attrs, "m", maxOrder))
+        } finally part.unpersist()
+      } :| s"seed $seed, time kind $timeKind, maxOrder $maxOrder"
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(24).withInitialSeed(Seed(2041L))
     val result = Test.check(params, prop)
     assert(result.passed, result.status)
   }

@@ -10,7 +10,7 @@ class SparkTSExplainSpec extends SparkSpec {
 
   test("distributed per-segment CA equals the driver CA on every segment") {
     val segments = for { i <- 0 until ds.cube.n; j <- i + 1 until ds.cube.n } yield Segment(i, j)
-    val dist = SparkTSExplain.topIdsPerSegment(spark, ds.cube, segments, TSConfig())
+    val dist = SparkPerSegment.topIds(spark, ds.cube, segments, TSConfig())
     val ca = new CascadingAnalysts(ds.cube, 3)
     for ((seg, a) <- segments.zip(dist).take(200)) {
       val b = ca.topIds(seg)
@@ -21,7 +21,7 @@ class SparkTSExplainSpec extends SparkSpec {
 
   test("distributed CA honors the guess-verify flag with identical scores") {
     val segments = Seq(Segment(0, 10), Segment(5, 30), Segment(0, ds.cube.n - 1))
-    val dist = SparkTSExplain.topIdsPerSegment(spark, ds.cube, segments, TSConfig(guessVerify = true))
+    val dist = SparkPerSegment.topIds(spark, ds.cube, segments, TSConfig(guessVerify = true))
     val ca = new CascadingAnalysts(ds.cube, 3)
     for ((seg, t) <- segments.zip(dist))
       assert(math.abs(t.best(3) - ca.topIds(seg).best(3)) < 1e-9)

@@ -19,7 +19,7 @@ class TpchExplainSpec extends SparkSpec {
     col("l_extendedprice").as("m"))
 
   test("monthly revenue cube matches DuckDB for the total series") {
-    val cube = ExplanationCube.cubeDF(monthly, "month", Seq("l_returnflag", "l_linestatus"), "m")
+    val cube = CubeFrames.cubeDF(monthly, "month", Seq("l_returnflag", "l_linestatus"), "m")
     val totals = cube.where(col("gid") === 3).select(col("month"), col("agg_value").as("s"))
     Oracle.assertEquivalent(
       totals,
@@ -28,7 +28,7 @@ class TpchExplainSpec extends SparkSpec {
   }
 
   test("monthly revenue cube matches DuckDB for the returnflag slices") {
-    val cube = ExplanationCube.cubeDF(monthly, "month", Seq("l_returnflag", "l_linestatus"), "m")
+    val cube = CubeFrames.cubeDF(monthly, "month", Seq("l_returnflag", "l_linestatus"), "m")
     val slices = cube.where(col("gid") === 1)
       .select(col("month"), col("l_returnflag"), col("agg_value").as("s"))
     Oracle.assertEquivalent(
