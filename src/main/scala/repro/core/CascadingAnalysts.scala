@@ -34,6 +34,12 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
 
   private val eps = cube.epsilon
   private val dd = cube.drillDown
+  // The memo's and the knapsack rows' entries, m + 1 each per context and
+  // per child or group, counted before either is allocated.
+  private val memoSize = (eps + 1L) * (m + 1L)
+  private val rowsSize = (dd.childIds.length + dd.childStart.length - 1L) * (m + 1L)
+  require(memoSize <= Int.MaxValue - 8 && rowsSize <= Int.MaxValue - 8,
+    s"m = $m on ε = $eps explanations needs $memoSize memo and $rowsSize knapsack entries, more than one array holds")
   private val all = Array.fill(eps)(true)
   // memo(id + 1)(q) = best score of subtree rooted at context id with quota q;
   // id -1 is the virtual root (empty conjunction, not selectable).
@@ -59,7 +65,7 @@ final class CascadingAnalysts(val cube: ExplCube, val m: Int, val maxOrder: Int 
   // a zero row, then one per active child of the segment, kids(g) of them,
   // the r-th being kid(childStart(g) + r).
   private val stride = m + 1
-  private val rows = new Array[Double]((dd.childIds.length + dd.childStart.length - 1) * stride)
+  private val rows = new Array[Double](rowsSize.toInt)
   private val kids = new Array[Int](dd.childStart.length - 1)
   private val kid = new Array[Int](dd.childIds.length)
 

@@ -1,5 +1,8 @@
 package repro.core
 
+import java.util.concurrent.{CancellationException, CountDownLatch, ForkJoinPool, ForkJoinTask}
+import java.util.concurrent.atomic.{AtomicInteger, AtomicIntegerArray, AtomicReference}
+
 /** Weighted within-segment variance |P|·var(P) for arbitrary segments
   * (Section 4.1.4, Eq. 7 and the alternative metrics of Section 4.2.2).
   *
@@ -303,7 +306,7 @@ object KSegmentation {
     * holds (Int.MaxValue − 8) is an `IllegalArgumentException`, raised
     * before any table sized by the cells is allocated.
     */
-  final class Cells(positions: Vector[Int], kMax: Int, maxSegLen: Int) {
+  final class Cells(positions: Vector[Int], kMax: Int, private[KSegmentation] val maxSegLen: Int) {
     require(positions.size >= 2 && positions.head >= 0 && positions == positions.sorted &&
       positions.distinct == positions, "bad candidate positions")
     private[KSegmentation] val p = positions.toArray
@@ -360,60 +363,224 @@ object KSegmentation {
     dp(cells, Array.tabulate(cells.size)(k => cost(cells.start(k), cells.end(k))))
   }
 
-  /** Runs the DP over `cells`, with `w(k)` the cost of cell k, keeping two
-    * rows of D, the curve and the back-pointers.
+  /** Fewest ends per strip of [[dp]]'s wavefront. */
+  private[core] val MinStripEnds = 64
+
+  /** Runs the DP over `cells`, with `w(k)` the cost of cell k, as a
+    * wavefront of strips of ends ([[Wavefront]]) on the calling thread and
+    * the pool it runs in (the common pool outside one). Every D_k(a) gets
+    * the pushes, in the order, of one thread running the layers one after
+    * another, so the curve and the back-pointers do not depend on the
+    * threads.
     */
   def dp(cells: Cells, w: Array[Double]): DPResult = {
     require(w.length == cells.size, s"${w.length} costs for ${cells.size} cells")
-    val p = cells.p
-    val np = p.length
-    val kCap = cells.kCap
-    val rowStart = cells.rowStart
-    val inf = Double.PositiveInfinity
-    // prev(b) and cur(a): min total weighted variance covering [p(0), p(b)]
-    // with k − 1 segments and [p(0), p(a)] with k. Where cur(a) is finite,
-    // from(k − 1)(a) is the start rank of the last of those k. With no
-    // segments only p(0) is covered, at −0.0: the additive identity, so
-    // layer 1 copies its costs bit for bit.
-    var prev = new Array[Double](np)
-    var cur = new Array[Double](np)
-    java.util.Arrays.fill(cur, inf)
-    cur(0) = -0.0
-    val from = Array.fill(kCap)(new Array[Int](np))
-    val curve = new Array[Double](kCap)
-    // Layer k pushes each finite prev(b) along the cells from p(b); b
-    // ascends and only a strictly smaller sum wins, so each end keeps its
-    // smallest arg-min b.
-    for (k <- 1 to kCap) {
-      val t = prev; prev = cur; cur = t
-      java.util.Arrays.fill(cur, inf)
-      val arg = from(k - 1)
-      var b = k - 1
-      while (b < rowStart.length - 1) {
-        val pb = prev(b)
-        if (pb < inf) {
-          var c = rowStart(b)
-          var a = b + 1
-          while (c < rowStart(b + 1)) {
-            val v = pb + w(c)
-            if (v < cur(a)) { cur(a) = v; arg(a) = b }
-            c += 1; a += 1
-          }
-        }
-        b += 1
+    new Wavefront(cells, w).run()
+  }
+
+  /** One run of Eq. 11 over `cells`. D_k(a) is the least total weighted
+    * variance covering [p(0), p(a)] with k segments; D_0 is −0.0 at rank 0
+    * (the additive identity, so layer 1 copies its costs bit for bit) and
+    * +∞ elsewhere. Layer k pushes each finite D_{k−1}(b), b ascending, along
+    * the cells from p(b), and only a strictly smaller sum wins, so each end
+    * keeps its smallest arg-min b.
+    *
+    *  - '''Live window.''' Every cell spans at most maxSegLen, so a prefix
+    *    ending at p(b) after k − 1 segments reaches p(last) within the
+    *    kCap − k + 1 segments left only if p(last) − p(b) ≤
+    *    (kCap − k + 1)·maxSegLen. Layer k pushes from no other b and fills
+    *    no other end; every end a chain to p(last) passes through is live,
+    *    so no curve value or scheme changes.
+    *  - '''Strips.''' The ranks are split into strips of consecutive ends,
+    *    at most the pool's parallelism + 1 and at least [[MinStripEnds]]
+    *    ends each, with about equal numbers of cells ending in each. A
+    *    thread claims whole strips in ascending order from one counter and
+    *    runs every layer of the strip it holds. Before layer k, a strip
+    *    waits (spinning) until the lower strips holding its ends' starts
+    *    have finished layer k − 1; for phase I that is the strip below.
+    *    Pushes into an end still come from ascending b: first the lower
+    *    strips' ends, then its own.
+    *  - '''No deadlock.''' A strip waits only on lower strips, which were
+    *    claimed earlier by threads that are running them. So the caller
+    *    alone runs every strip in order when no helper starts: the pool is
+    *    busy, its parallelism is 1, or the DP runs inside a Spark task.
+    *  - '''Memory.''' Two rows of D (each strip rotates its own ranks of
+    *    them), the curve, and the history: for each strip but the last,
+    *    each layer's D of its ends a higher strip reads, kCap·Σ tail
+    *    doubles. A tail is the ends from the first start of the next strip
+    *    on: at most the longest row's ends in phase I, the whole strip
+    *    without a length cap. Back-pointers are the offset a − b, one per
+    *    layer and rank: kCap·np bytes when no row spans more than 255 ranks
+    *    (phase I: L ≤ 20), kCap·np ints otherwise.
+    */
+  private final class Wavefront(cells: Cells, w: Array[Double]) {
+    private val p = cells.p
+    private val np = p.length
+    private val kCap = cells.kCap
+    private val rowStart = cells.rowStart
+    private val rows = rowStart.length - 1 // the start ranks that have cells
+    private val inf = Double.PositiveInfinity
+
+    // live(k): the lowest rank still live at layer k as a start, at k − 1
+    // as an end; live(kCap + 1) = last.
+    private val live = new Array[Int](kCap + 2)
+    locally {
+      var b = 0
+      for (k <- 1 to kCap + 1) {
+        while (p(np - 1).toLong - p(b) > (kCap - k + 1).toLong * cells.maxSegLen) b += 1
+        live(k) = b
       }
-      curve(k - 1) = cur(np - 1)
     }
-    DPResult(curve.toVector, new Schemes(p, from, curve))
+
+    // first(a): the lowest start rank of a cell ending at rank a (a − 1 when
+    // none does). Row ends do not decrease with the start, so one pointer
+    // finds them all. Only a run of several strips reads it.
+    private val wanted = if (kCap < 2) 1 else math.min(ForkJoinPool.getCommonPoolParallelism + 1, (np - 1) / MinStripEnds)
+    private val first = new Array[Int](if (wanted > 1) np else 0)
+    // Strip s is the ranks bound(s) until bound(s + 1).
+    private val bound: Array[Int] =
+      if (wanted <= 1) Array(0, np)
+      else {
+        var ending = 0L // the cells ending at ranks 1 … np − 1
+        var b = 0
+        for (a <- 1 until np) {
+          while (b < a - 1 && b + rowStart(b + 1) - rowStart(b) < a) b += 1
+          first(a) = b
+          ending += a - b
+        }
+        val out = new Array[Int](wanted + 1)
+        var s = 1
+        var below = 0L // the cells ending below rank a
+        for (a <- 1 until np) {
+          if (s < wanted && below * wanted >= s * ending) { out(s) = a; s += 1 }
+          below += a - first(a)
+        }
+        out(s) = np
+        java.util.Arrays.copyOf(out, s + 1)
+      }
+    private val strips = bound.length - 1
+    // waitFrom(s): the lowest strip holding a start of strip s's cells.
+    private val waitFrom = Array.tabulate(strips) { s =>
+      var r = 0
+      if (s > 0) while (bound(r + 1) <= first(bound(s))) r += 1
+      r
+    }
+    // tailFrom(s): strip s's lowest end that a higher strip reads; hist(k)
+    // holds D_k of every strip's tail, rank b at col(b).
+    private val tailFrom = Array.tabulate(strips)(s => if (s + 1 < strips) math.max(bound(s), first(bound(s + 1))) else bound(s + 1))
+    private val col = new Array[Int](if (strips > 1) np else 0)
+    private val hist: Array[Array[Double]] = {
+      var shared = 0
+      for (s <- 0 until strips; b <- tailFrom(s) until bound(s + 1)) { col(b) = shared; shared += 1 }
+      if (shared == 0) null
+      else {
+        val h = Array.fill(kCap)(new Array[Double](shared))
+        java.util.Arrays.fill(h(0), inf)
+        if (tailFrom(0) == 0) h(0)(col(0)) = -0.0
+        h
+      }
+    }
+
+    // rowsOfD(k & 1) holds layer k, each strip writing only its own ranks;
+    // startOf(a) the arg-min start of the end a of the layer being filled.
+    private val rowsOfD = Array.fill(2)(new Array[Double](np))
+    java.util.Arrays.fill(rowsOfD(0), inf)
+    rowsOfD(0)(0) = -0.0
+    private val startOf = new Array[Int](np)
+    private val curve = new Array[Double](kCap)
+    private val byteOffsets = (0 until rows).forall(b => rowStart(b + 1) - rowStart(b) <= 255)
+    private val backBytes = if (byteOffsets) Array.fill(kCap)(new Array[Byte](np)) else null
+    private val backInts = if (byteOffsets) null else Array.fill(kCap)(new Array[Int](np))
+
+    // done(s·Pad): the layers strip s has finished (kCap once it stops), a
+    // cache line apart.
+    private val Pad = 16
+    private val done = new AtomicIntegerArray(strips * Pad)
+    private val next = new AtomicInteger
+    private val finished = new CountDownLatch(strips)
+    private val failure = new AtomicReference[Throwable]
+
+    def run(): DPResult = {
+      for (_ <- 1 until strips) ForkJoinTask.adapt(new Runnable { def run(): Unit = work() }).fork()
+      work()
+      var interrupted = false
+      while (finished.getCount > 0) try finished.await() catch { case _: InterruptedException => interrupted = true }
+      if (interrupted) Thread.currentThread.interrupt()
+      if (failure.get != null) throw failure.get
+      val (bytes, ints) = (backBytes, backInts) // the schemes keep these, not the rows of D
+      DPResult(curve.toVector, new Schemes(p, curve, (k, a) => a - (if (bytes != null) bytes(k)(a) & 0xff else ints(k)(a))))
+    }
+
+    /** Claims and runs strips until none is left. */
+    private def work(): Unit = {
+      var s = next.getAndIncrement()
+      while (s < strips) {
+        try strip(s)
+        catch { case t: Throwable => failure.compareAndSet(null, t) }
+        finally finished.countDown()
+        s = next.getAndIncrement()
+      }
+    }
+
+    /** Spins until strip r has finished `layers` layers. */
+    private def await(r: Int, layers: Int): Unit =
+      while (done.get(r * Pad) < layers) {
+        if (failure.get != null) throw new CancellationException("another strip of the DP failed")
+        Thread.onSpinWait()
+      }
+
+    /** Every layer of strip s, until its ends are no longer live. */
+    private def strip(s: Int): Unit = {
+      val lo = bound(s)
+      val hi = bound(s + 1)
+      val from = if (s == 0) 0 else first(lo)
+      val tail = tailFrom(s)
+      var k = 1
+      while (k <= kCap && hi - 1 >= live(k + 1)) {
+        var r = waitFrom(s)
+        while (r < s) { await(r, k - 1); r += 1 }
+        val prev = rowsOfD((k - 1) & 1)
+        val cur = rowsOfD(k & 1)
+        val older = if (s == 0) null else hist(k - 1)
+        val ends = math.max(lo, live(k + 1)) // the live ends
+        java.util.Arrays.fill(cur, ends, hi, inf)
+        var b = math.max(math.max(from, k - 1), live(k))
+        val bUntil = math.min(hi - 1, rows)
+        while (b < bUntil) {
+          val pb = if (b >= lo) prev(b) else older(col(b))
+          if (pb < inf) {
+            val aFrom = math.max(b + 1, ends)
+            val aUntil = math.min(b + 1 + rowStart(b + 1) - rowStart(b), hi)
+            var c = rowStart(b) + aFrom - b - 1
+            var a = aFrom
+            while (a < aUntil) {
+              val v = pb + w(c)
+              if (v < cur(a)) { cur(a) = v; startOf(a) = b }
+              c += 1; a += 1
+            }
+          }
+          b += 1
+        }
+        var a = math.max(ends, 1)
+        if (backBytes != null) { val back = backBytes(k - 1); while (a < hi) { back(a) = (a - startOf(a)).toByte; a += 1 } }
+        else { val back = backInts(k - 1); while (a < hi) { back(a) = a - startOf(a); a += 1 } }
+        if (k < kCap) { a = math.max(tail, ends); while (a < hi) { hist(k)(col(a)) = cur(a); a += 1 } }
+        if (hi == np) curve(k - 1) = cur(np - 1)
+        done.set(s * Pad, k)
+        k += 1
+      }
+      done.set(s * Pad, kCap)
+    }
   }
 
   /** The optimal (k + 1)-segmentation at k, backtracked when read from
-    * p(last) through k + 1 back-pointers to p(0); None off the curve.
+    * p(last) through k + 1 back-pointers to p(0), `from(kk, a)` being the
+    * start rank of end a's last segment at layer kk + 1; None off the curve.
     */
-  private final class Schemes(p: Array[Int], from: Array[Array[Int]], curve: Array[Double])
+  private final class Schemes(p: Array[Int], curve: Array[Double], from: (Int, Int) => Int)
       extends IndexedSeq[Option[SegScheme]] {
     def length: Int = curve.length
     def apply(k: Int): Option[SegScheme] = Option.when(curve(k) < Double.PositiveInfinity)(SegScheme(
-      Iterator.iterate((k, p.length - 1)) { case (kk, a) => (kk - 1, from(kk)(a)) }.take(k + 2).map(e => p(e._2)).toVector.reverse))
+      Iterator.iterate((k, p.length - 1)) { case (kk, a) => (kk - 1, from(kk, a)) }.take(k + 2).map(e => p(e._2)).toVector.reverse))
   }
 }

@@ -29,6 +29,7 @@ final case class TSConfig(
     smoothWindow: Option[Int] = None,
 ) {
   require(m >= 1, s"m must be at least 1, got $m")
+  require(maxOrder >= 0, s"maxOrder must be at least 0, got $maxOrder")
   require(kMax >= 1, s"kMax must be at least 1, got $kMax")
   require(fixedK.forall(_ >= 1), s"fixedK must be at least 1, got ${fixedK.get}")
   require(smoothWindow.forall(_ >= 1), s"smoothWindow must be at least 1, got ${smoothWindow.get}")

@@ -176,8 +176,11 @@ object ExplanationCube {
           id
         }
       }
-      for (s <- 0 until sets.size; (sum, g) <- part.sums(s).zipWithIndex)
-        series(s)(conjOf(s)(g))(timeOf(s)(g)) += sum
+      for (s <- 0 until sets.size) {
+        val sums = part.sums(s)
+        var g = 0
+        while (g < sums.length) { series(s)(conjOf(s)(g))(timeOf(s)(g)) += sums(g); g += 1 }
+      }
     }
     val perExpl = for (s <- 1 until sets.size; (ps, xs) <- preds(s).zip(series(s))) yield Expl.of(ps: _*) -> xs
     ExplCube.fromSeries(attrs, sorted.map(labels(0)(_)).toVector, series(0)(0), perExpl)

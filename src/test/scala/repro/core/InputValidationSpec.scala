@@ -40,6 +40,21 @@ class InputValidationSpec extends AnyFunSuite {
     assert(TSConfig(filterRatio = Some(0.0)).filterRatio.contains(0.0))
   }
 
+  test("TSConfig rejects maxOrder < 0") {
+    rejected("maxOrder must be at least 0, got -1")(TSConfig(maxOrder = -1))
+    assert(TSConfig(maxOrder = 0).maxOrder == 0)
+  }
+
+  test("CA rejects an m whose tables outgrow one array before allocating them, naming m, ε and the entries") {
+    // ε = 40: at m = 10^8 the memo needs 41 · (10^8 + 1) entries.
+    val wide = ExplCube.fromSeries(Seq("a"), (0 until 4).map(_.toString), Array.fill(4)(40.0),
+      (0 until 40).map(v => Expl.of("a" -> s"v$v") -> Array.fill(4)(1.0)))
+    rejected("m = 2147483647 on ε = 1 explanations needs 4294967296 memo")(new CascadingAnalysts(cube(4), Int.MaxValue))
+    rejected("m = 100000000 on ε = 40 explanations needs 4100000041 memo")(new CascadingAnalysts(wide, 100000000))
+    rejected("m = 2147483647 on ε = 1")(TSExplain.explain(cube(4), TSConfig(m = Int.MaxValue)))
+    rejected("m = 2147483647 on ε = 1")(TSExplain.explain(cube(4), TSConfig(m = Int.MaxValue, guessVerify = true)))
+  }
+
   test("explain rejects a series of fewer than 2 points") {
     for (n <- Seq(0, 1)) rejected(s"got n = $n")(TSExplain.explain(cube(n), TSConfig()))
     assert(TSExplain.explain(cube(2), TSConfig()).explanation.scheme.cuts == Vector(0, 1))

@@ -322,6 +322,40 @@ class ParallelStagesSpec extends AnyFunSuite {
     }
   }
 
+  test("the wavefront DP equals the layer-by-layer DP, bit for bit, in pools of 1, 2 and 4 threads") {
+    val rnd = new Random(53)
+    // Several strips on every host: each case has at least 2 · MinStripEnds ends.
+    val cases = for (trial <- 1 to 12) yield {
+      val capped = trial % 2 == 0
+      val n = if (capped) 200 + rnd.nextInt(1300) else 200 + rnd.nextInt(200)
+      val positions = (0 until n).filter(_ => rnd.nextDouble() < 0.9).toVector
+      val cap = if (capped) Some(2 + rnd.nextInt(25)) else None
+      // The fewest segments that cover the positions under the cap, so the
+      // live window cuts in; or every layer; or a few.
+      val fewest = cap.fold(1)(c => (positions.last - positions.head + c - 1) / c)
+      val kMax = trial % 3 match {
+        case 0 => positions.size - 1
+        case 1 => math.min(positions.size - 1, fewest + rnd.nextInt(4))
+        case _ => 1 + rnd.nextInt(40)
+      }
+      // Few distinct values, so that many candidate sums tie.
+      val table = Array.fill(n * n)(rnd.nextInt(4) * 0.25 + (if (rnd.nextInt(8) == 0) 0.1 else 0.0))
+      val what = s"trial $trial: ${positions.size} positions, kMax $kMax, cap $cap"
+      assert(positions.size - 1 >= 2 * KSegmentation.MinStripEnds, what)
+      (positions, cap, kMax, table, n, what, layerByLayerDp((i, j) => table(i * n + j), positions, kMax, cap))
+    }
+    for (parallelism <- Seq(1, 2, 4)) {
+      val pool = new java.util.concurrent.ForkJoinPool(parallelism)
+      try for ((positions, cap, kMax, table, n, what, want) <- cases) {
+        val got = pool.submit(() => KSegmentation.dp((i, j) => table(i * n + j), positions, kMax, cap)).get(60, TimeUnit.SECONDS)
+        assert(got.curve.size == want.curve.size && got.curve.zip(want.curve).forall { case (a, b) => sameBits(a, b) },
+          s"$what, parallelism $parallelism")
+        assert(got.schemes == want.schemes, s"$what, parallelism $parallelism")
+      }
+      finally pool.shutdown()
+    }
+  }
+
   test("Cells lists in-cap pairs by start, then end; indexOf finds each one") {
     val rnd = new Random(41)
     for (trial <- 1 to 300) {
